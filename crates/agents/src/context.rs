@@ -141,11 +141,12 @@ impl Default for RunConfig {
 ///
 /// The context is `Send + Sync` (asserted below): sessions hand out
 /// `Arc<AgentContext>` and the serving layer runs each one on a worker
-/// thread. The manifest is `Arc`-shared across all concurrent runs of a
-/// session — the ensemble metadata is opened once, not per run.
+/// thread. The manifest and the retrieval index are `Arc`-shared across
+/// all runs of a session — the ensemble metadata is opened, and its
+/// dictionaries indexed, once, not per run.
 pub struct AgentContext {
     pub llm: SimulatedLlm,
-    pub retriever: Retriever,
+    pub retriever: Arc<Retriever>,
     pub manifest: Arc<Manifest>,
     pub db: SessionDb,
     pub sandbox: SandboxServer,
@@ -170,12 +171,33 @@ const _: fn() = || {
     assert_send_sync::<AgentContext>();
 };
 
+/// Index an ensemble's metadata: one document per column of the column
+/// dictionary plus one per topic of the file-structure dictionary (§3.1).
+pub fn metadata_index(manifest: &Manifest) -> Retriever {
+    let mut docs: Vec<Doc> = infera_hacc::column_dictionary()
+        .into_iter()
+        .map(|c| Doc::new(&c.column, &c.entity, &c.description, c.important))
+        .collect();
+    for (i, s) in infera_hacc::structure_dictionary(manifest)
+        .into_iter()
+        .enumerate()
+    {
+        docs.push(Doc::new(
+            &format!("structure_{i}"),
+            "structure",
+            &format!("{}: {}", s.topic, s.description),
+            false,
+        ));
+    }
+    Retriever::new(docs)
+}
+
 impl AgentContext {
     /// Assemble a context for one run.
     ///
     /// `session_dir` receives the run's database and provenance store.
-    /// The retriever indexes the ensemble's metadata dictionaries; the
-    /// sandbox is loaded with the domain tools.
+    /// The retriever indexes the ensemble's metadata dictionaries
+    /// ([`metadata_index`]); the sandbox is loaded with the domain tools.
     pub fn new(
         manifest: Arc<Manifest>,
         session_dir: &Path,
@@ -183,8 +205,10 @@ impl AgentContext {
         profile: BehaviorProfile,
         config: RunConfig,
     ) -> AgentResult<AgentContext> {
+        let retriever = Arc::new(metadata_index(&manifest));
         AgentContext::new_with_obs(
             manifest,
+            retriever,
             session_dir,
             seed,
             profile,
@@ -193,13 +217,16 @@ impl AgentContext {
         )
     }
 
-    /// [`AgentContext::new`] with a caller-provided observability
-    /// context. The serve scheduler uses this to hand each job an `Obs`
-    /// it keeps a handle on — so the job's trace and metrics stay
-    /// reachable even when the run fails and produces no `RunReport`,
-    /// and the tracer can be bus-attached before the run starts.
+    /// [`AgentContext::new`] with a caller-provided retrieval index and
+    /// observability context. A session builds the index once
+    /// ([`metadata_index`]) and hands every run an `Arc` of it. The serve
+    /// scheduler hands each job an `Obs` it keeps a handle on — so the
+    /// job's trace and metrics stay reachable even when the run fails and
+    /// produces no `RunReport`, and the tracer can be bus-attached before
+    /// the run starts.
     pub fn new_with_obs(
         manifest: Arc<Manifest>,
+        retriever: Arc<Retriever>,
         session_dir: &Path,
         seed: u64,
         profile: BehaviorProfile,
@@ -227,24 +254,6 @@ impl AgentContext {
         .map_err(|e| AgentError::Fatal(e.to_string()))?;
         let prov = ProvenanceStore::create(&session_dir.join("provenance"))
             .map_err(|e| AgentError::Fatal(e.to_string()))?;
-
-        // Index the column + structure dictionaries.
-        let mut docs: Vec<Doc> = infera_hacc::column_dictionary()
-            .into_iter()
-            .map(|c| Doc::new(&c.column, &c.entity, &c.description, c.important))
-            .collect();
-        for (i, s) in infera_hacc::structure_dictionary(&manifest)
-            .into_iter()
-            .enumerate()
-        {
-            docs.push(Doc::new(
-                &format!("structure_{i}"),
-                "structure",
-                &format!("{}: {}", s.topic, s.description),
-                false,
-            ));
-        }
-        let retriever = Retriever::new(docs);
 
         let mut tools = ToolRegistry::new();
         infera_sandbox::domain::register_domain_tools(&mut tools);

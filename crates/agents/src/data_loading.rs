@@ -21,6 +21,7 @@ use infera_frame::{Column, DataFrame};
 use infera_hacc::{EntityKind, GenioReader};
 use infera_obs::metric_names;
 use infera_provenance::ArtifactKind;
+use infera_rag::Doc;
 use std::sync::Arc;
 
 /// Result of the load stage.
@@ -39,6 +40,16 @@ pub struct LoadStats {
     pub bytes_logical: u64,
 }
 
+/// The metadata documents the column selection for one table is grounded
+/// in: the four-prompt retrieval for the "select columns" task.
+fn retrieve_for_load(ctx: &AgentContext, state: &RunState, entity: EntityKind) -> Vec<Doc> {
+    ctx.retriever.retrieve_for_task(
+        &state.question,
+        &format!("select {} columns to load", entity.label()),
+        &state.plan.to_text(),
+    )
+}
+
 /// Columns the agent will load for one table: the plan's required columns
 /// plus RAG-retrieved context columns of the same entity, capped so the
 /// reduction property holds.
@@ -48,31 +59,32 @@ pub fn select_columns(
     entity: EntityKind,
     required: &[String],
 ) -> Vec<String> {
+    let retrieved = retrieve_for_load(ctx, state, entity);
+    select_columns_from(ctx, state, entity, required, &retrieved)
+}
+
+/// [`select_columns`] over an already-made [`retrieve_for_load`] result.
+fn select_columns_from(
+    ctx: &AgentContext,
+    state: &RunState,
+    entity: EntityKind,
+    required: &[String],
+    retrieved: &[Doc],
+) -> Vec<String> {
     const MAX_COLUMNS: usize = 12;
     let mut cols: Vec<String> = required.to_vec();
     // Most-relevant columns first (pure cosine ranking), then the broader
     // MMR union for diversity — the cap keeps the reduction property.
-    let mut candidates = ctx.retriever.top_hits(&state.question, 12);
-    candidates.extend(
-        ctx.retriever
-            .retrieve_for_task(
-                &state.question,
-                &format!("select {} columns to load", entity.label()),
-                &state.plan.to_text(),
-            )
-            .into_iter()
-            .map(|doc| infera_rag::Hit { doc, score: 0.0 }),
-    );
-    for hit in candidates {
+    let top = ctx.retriever.top_hits(&state.question, 12);
+    for doc in top.iter().map(|hit| hit.doc).chain(retrieved) {
         if cols.len() >= MAX_COLUMNS {
             break;
         }
-        let doc = hit.doc;
         if doc.entity == entity.label()
             && entity.column_names().contains(&doc.key.as_str())
             && !cols.contains(&doc.key)
         {
-            cols.push(doc.key);
+            cols.push(doc.key.clone());
         }
     }
     cols
@@ -94,16 +106,12 @@ pub fn run_load(ctx: &AgentContext, state: &mut RunState, spec: &LoadSpec) -> Ag
 
     for tspec in &spec.tables {
         let entity = tspec.entity_kind();
-        let columns = select_columns(ctx, state, entity, &tspec.columns);
+        let retrieved = retrieve_for_load(ctx, state, entity);
+        let columns = select_columns_from(ctx, state, entity, &tspec.columns, &retrieved);
         let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
 
         // Charge the column-selection reasoning call, with the retrieved
         // metadata documents the selection is grounded in.
-        let retrieved = ctx.retriever.retrieve_for_task(
-            &state.question,
-            &format!("select {} columns to load", entity.label()),
-            &state.plan.to_text(),
-        );
         let prompt = ctx.build_prompt(
             "data_loading",
             state,
@@ -383,6 +391,49 @@ mod tests {
         assert!(c.llm.meter().total_tokens() > 0);
         let events = c.prov.events();
         assert!(events.iter().any(|e| e.action == "load_selective"));
+    }
+
+    /// `run_load` retrieves once per table and hands the result to both
+    /// the column selection and the selection prompt. What it charges
+    /// must equal the charge built from two separate retrievals
+    /// (`select_columns` plus `retrieve_for_task`) on a twin context.
+    #[test]
+    fn load_charge_equals_separately_retrieved_charge() {
+        let c = ctx("charge");
+        let twin = ctx("charge_twin");
+        let mut state = RunState::new(
+            "what is the gas mass fraction of massive halos and the stellar mass of their galaxies",
+            SemanticLevel::Medium,
+            Plan::default(),
+        );
+        let mut spec = spec(&c);
+        spec.tables.push(TableLoad {
+            entity: "galaxies".into(),
+            columns: vec!["gal_tag".into()],
+            output: "galaxies".into(),
+        });
+        for tspec in &spec.tables {
+            let entity = tspec.entity_kind();
+            let columns = select_columns(&twin, &state, entity, &tspec.columns);
+            let retrieved = twin.retriever.retrieve_for_task(
+                &state.question,
+                &format!("select {} columns to load", entity.label()),
+                &state.plan.to_text(),
+            );
+            let task = format!(
+                "determine the files and columns of '{}' needed for the plan",
+                entity.label()
+            );
+            let prompt = twin.build_prompt("data_loading", &state, &task, &retrieved);
+            twin.llm
+                .charge("data_loading", &prompt, &format!("columns: {columns:?}"));
+        }
+        run_load(&c, &mut state, &spec).unwrap();
+        let (charged, expected) = (c.llm.meter(), twin.llm.meter());
+        assert_eq!(charged.total_calls(), 2);
+        assert_eq!(charged.total_calls(), expected.total_calls());
+        assert_eq!(charged.total_tokens(), expected.total_tokens());
+        assert_eq!(charged.total_latency_ms(), expected.total_latency_ms());
     }
 
     #[test]

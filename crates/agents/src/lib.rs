@@ -30,7 +30,9 @@ pub mod state;
 pub mod viz_agent;
 pub mod workflow;
 
-pub use context::{AgentContext, CancelToken, ContextPolicy, QaMode, RunConfig};
+pub use context::{
+    metadata_index, AgentContext, CancelToken, ContextPolicy, QaMode, RunConfig,
+};
 pub use error::{AgentError, AgentResult, CancelKind};
 pub use shared_cache::{CachedBatch, LoadKey, SharedEnsembleCache};
 pub use graph::{NodeOutcome, StateGraph, END};

@@ -21,7 +21,8 @@
 //!
 //! Sessions are `Send + Sync`: the serving layer (`infera-serve`) runs
 //! many `ask_opts` calls concurrently against one session, sharing the
-//! ensemble manifest and the decoded-batch cache across worker threads.
+//! ensemble manifest, the retrieval index and the decoded-batch cache
+//! across worker threads.
 
 use crate::errors::{InferaError, InferaResult};
 use infera_agents::{
@@ -221,8 +222,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Build the session: loads the manifest (when opening from disk)
-    /// and allocates the shared caches.
+    /// Build the session: loads the manifest (when opening from disk),
+    /// indexes its metadata for retrieval and allocates the shared caches.
     pub fn build(self) -> InferaResult<InferA> {
         let manifest = match self.source {
             EnsembleSource::Manifest(m) => *m,
@@ -239,6 +240,7 @@ impl SessionBuilder {
         // run a database that already holds the old run's tables.
         let next_run = existing_run_count(&work_dir);
         Ok(InferA {
+            retriever: Arc::new(infera_agents::metadata_index(&manifest)),
             manifest: Arc::new(manifest),
             work_dir,
             config: self.config,
@@ -272,6 +274,8 @@ fn existing_run_count(work_dir: &Path) -> u64 {
 /// threads via `Arc<InferA>`.
 pub struct InferA {
     manifest: Arc<Manifest>,
+    /// Retrieval index over the manifest's metadata, shared by every run.
+    retriever: Arc<infera_rag::Retriever>,
     work_dir: PathBuf,
     config: SessionConfig,
     run_counter: Mutex<u64>,
@@ -378,6 +382,7 @@ impl InferA {
             .wrapping_add(salt.wrapping_mul(0xD1B54A32D192ED03) | 1);
         let mut ctx = AgentContext::new_with_obs(
             self.manifest.clone(),
+            self.retriever.clone(),
             &dir,
             run_seed,
             self.config.profile.clone(),

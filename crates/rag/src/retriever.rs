@@ -58,28 +58,67 @@ impl Doc {
     }
 }
 
-/// One retrieval hit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Hit {
-    pub doc: Doc,
+/// One retrieval hit: an indexed document and its relevance to the query.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Hit<'a> {
+    pub doc: &'a Doc,
     pub score: f32,
 }
 
 /// Embedding index over a document set.
+///
+/// Built once per session and shared by every run: beside the embeddings
+/// it holds everything about MMR that does not depend on the query — the
+/// document–document similarity table and the selection of the constant
+/// "\[IMPORTANT\]" prompt.
 #[derive(Debug, Clone)]
 pub struct Retriever {
     docs: Vec<Doc>,
     embeddings: Vec<Vec<f32>>,
+    /// `sim[i * n + j]` is `cosine(embeddings[i], embeddings[j])`.
+    /// `x * y == y * x` in IEEE arithmetic and `cosine` sums in index
+    /// order, so the table is symmetric to the bit and each pair is
+    /// computed once; the diagonal is never read and stays 0.
+    sim: Vec<f32>,
+    /// Document indices the "\[IMPORTANT\]" prompt selects, in pick order.
+    important_picks: Vec<usize>,
 }
 
 impl Retriever {
     /// Index a document set.
     pub fn new(docs: Vec<Doc>) -> Retriever {
-        let embeddings = docs
+        let embeddings: Vec<Vec<f32>> = docs
             .iter()
             .map(|d| embed(&format!("{} {} {}", d.entity, d.key, d.text)))
             .collect();
-        Retriever { docs, embeddings }
+        let n = docs.len();
+        let mut sim = vec![0.0f32; n * n];
+        for i in 0..n {
+            for j in i + 1..n {
+                let s = cosine(&embeddings[i], &embeddings[j]);
+                sim[i * n + j] = s;
+                sim[j * n + i] = s;
+            }
+        }
+        let mut retriever = Retriever {
+            docs,
+            embeddings,
+            sim,
+            important_picks: Vec::new(),
+        };
+        let names: Vec<&str> = retriever
+            .docs
+            .iter()
+            .filter(|d| d.important)
+            .map(|d| d.key.as_str())
+            .collect();
+        let important_prompt = format!("[IMPORTANT] key columns: {}", names.join(" "));
+        retriever.important_picks = retriever
+            .mmr_picks(&important_prompt, TOP_K_PER_PROMPT)
+            .into_iter()
+            .map(|(i, _)| i)
+            .collect();
+        retriever
     }
 
     /// Number of indexed documents.
@@ -96,23 +135,28 @@ impl Retriever {
         &self.docs
     }
 
+    /// Cosine of every document against `query`, in index order.
+    fn relevance(&self, query: &str) -> Vec<f32> {
+        let q = embed(query);
+        self.embeddings.iter().map(|e| cosine(e, &q)).collect()
+    }
+
     /// Pure relevance ranking (no diversity term): the top `k` documents
     /// by cosine similarity. Used when *precision* matters more than
     /// coverage (e.g. resolving one metric phrase to one column).
-    pub fn top_hits(&self, query: &str, k: usize) -> Vec<Hit> {
-        let q = embed(query);
+    pub fn top_hits(&self, query: &str, k: usize) -> Vec<Hit<'_>> {
         let mut scored: Vec<(f32, usize)> = self
-            .embeddings
-            .iter()
+            .relevance(query)
+            .into_iter()
             .enumerate()
-            .map(|(i, e)| (cosine(e, &q), i))
+            .map(|(i, score)| (score, i))
             .collect();
         scored.sort_by(|a, b| b.0.total_cmp(&a.0));
         scored
             .into_iter()
             .take(k)
             .map(|(score, i)| Hit {
-                doc: self.docs[i].clone(),
+                doc: &self.docs[i],
                 score,
             })
             .collect()
@@ -121,62 +165,69 @@ impl Retriever {
     /// MMR selection of `k` documents for one query.
     ///
     /// Iteratively picks the document maximizing
-    /// `λ·sim(query, d) − (1−λ)·max over selected s of sim(d, s)`.
-    pub fn mmr(&self, query: &str, k: usize) -> Vec<Hit> {
-        let q = embed(query);
-        let n = self.docs.len();
-        let rel: Vec<f32> = self.embeddings.iter().map(|e| cosine(e, &q)).collect();
-        let mut selected: Vec<usize> = Vec::new();
-        let mut remaining: Vec<usize> = (0..n).collect();
-        while selected.len() < k && !remaining.is_empty() {
-            let mut best: Option<(f32, usize, usize)> = None; // (score, pos-in-remaining, doc idx)
-            for (pos, &i) in remaining.iter().enumerate() {
-                let redundancy = selected
-                    .iter()
-                    .map(|&s| cosine(&self.embeddings[i], &self.embeddings[s]))
-                    .fold(0.0f32, f32::max);
-                let score = MMR_LAMBDA * rel[i] - (1.0 - MMR_LAMBDA) * redundancy;
-                match best {
-                    Some((bs, _, _)) if bs >= score => {}
-                    _ => best = Some((score, pos, i)),
-                }
-            }
-            let (_, pos, i) = best.expect("remaining non-empty");
-            remaining.swap_remove(pos);
-            selected.push(i);
-        }
-        selected
+    /// `λ·sim(query, d) − (1−λ)·max over selected s of sim(d, s)`,
+    /// the first-visited document winning a tie.
+    pub fn mmr(&self, query: &str, k: usize) -> Vec<Hit<'_>> {
+        self.mmr_picks(query, k)
             .into_iter()
-            .map(|i| Hit {
-                doc: self.docs[i].clone(),
-                score: rel[i],
+            .map(|(i, score)| Hit {
+                doc: &self.docs[i],
+                score,
             })
             .collect()
     }
 
+    /// [`Retriever::mmr`] as `(document index, relevance)` pairs.
+    ///
+    /// O(k·n): the redundancy term of each candidate is a running maximum
+    /// over the similarity table, raised once per pick, where the textbook
+    /// loop recomputes every candidate–selected cosine for every pick
+    /// (O(k²·n·dim)). The maximum is taken over the same values in the
+    /// same (pick) order as that loop's `fold(0.0, f32::max)`, so scores,
+    /// and with them the selection and its tie-breaks, are equal to the
+    /// bit — `tests/properties.rs` holds this against the quadratic loop.
+    fn mmr_picks(&self, query: &str, k: usize) -> Vec<(usize, f32)> {
+        let n = self.docs.len();
+        let rel = self.relevance(query);
+        let mut redundancy = vec![0.0f32; n];
+        let mut remaining: Vec<usize> = (0..n).collect();
+        let mut picks: Vec<(usize, f32)> = Vec::with_capacity(k.min(n));
+        while picks.len() < k {
+            let mut best: Option<(f32, usize)> = None; // (score, pos-in-remaining)
+            for (pos, &i) in remaining.iter().enumerate() {
+                let score = MMR_LAMBDA * rel[i] - (1.0 - MMR_LAMBDA) * redundancy[i];
+                match best {
+                    Some((bs, _)) if bs >= score => {}
+                    _ => best = Some((score, pos)),
+                }
+            }
+            // No candidate left: the corpus is smaller than `k`.
+            let Some((_, pos)) = best else { break };
+            let pick = remaining.swap_remove(pos);
+            picks.push((pick, rel[pick]));
+            let sim_to_pick = &self.sim[pick * n..(pick + 1) * n];
+            for (r, &s) in redundancy.iter_mut().zip(sim_to_pick) {
+                *r = r.max(s);
+            }
+        }
+        picks
+    }
+
     /// The paper's four-prompt retrieval: user query, assigned task, full
     /// plan, and the "\[IMPORTANT\]" prompt over important-tagged columns.
-    /// Returns the deduplicated union (≤ 4 × `TOP_K_PER_PROMPT` docs).
+    /// Returns the deduplicated union (≤ 4 × `TOP_K_PER_PROMPT` docs) in
+    /// first-retrieved order.
     pub fn retrieve_for_task(&self, user_query: &str, task: &str, plan: &str) -> Vec<Doc> {
-        let important_prompt = {
-            let names: Vec<&str> = self
-                .docs
-                .iter()
-                .filter(|d| d.important)
-                .map(|d| d.key.as_str())
-                .collect();
-            format!("[IMPORTANT] key columns: {}", names.join(" "))
-        };
-        let prompts = [user_query, task, plan, important_prompt.as_str()];
+        let picks = [user_query, task, plan]
+            .into_iter()
+            .flat_map(|prompt| self.mmr_picks(prompt, TOP_K_PER_PROMPT))
+            .map(|(i, _)| i)
+            .chain(self.important_picks.iter().copied());
+        let mut seen = vec![false; self.docs.len()];
         let mut out: Vec<Doc> = Vec::new();
-        for p in prompts {
-            for hit in self.mmr(p, TOP_K_PER_PROMPT) {
-                if !out
-                    .iter()
-                    .any(|d| d.key == hit.doc.key && d.entity == hit.doc.entity)
-                {
-                    out.push(hit.doc);
-                }
+        for i in picks {
+            if !std::mem::replace(&mut seen[i], true) {
+                out.push(self.docs[i].clone());
             }
         }
         out

@@ -40,6 +40,7 @@ use super::protocol::{
 use crate::handle::{JobEvents, JobHandle};
 use crate::job::{JobResult, JobSpec};
 use crate::scheduler::Scheduler;
+use crossbeam::channel::RecvTimeoutError;
 use infera_llm::SemanticLevel;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -47,6 +48,10 @@ use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// How long an idle pump waits for a completion before it polls the
+/// streaming jobs' event subscriptions again.
+const PUMP_TICK: Duration = Duration::from_millis(2);
 
 /// Per-connection behavior knobs (transport-specific defaults live on
 /// the server / CLI).
@@ -375,19 +380,23 @@ fn pump_loop<W: Write + Send>(
     shared: &ConnShared<W>,
     done_rx: &crossbeam::channel::Receiver<JobResult>,
 ) {
+    // A completion: flush the job's buffered events, then the terminal
+    // Done. The scheduler publishes the terminal bus event before
+    // completing the slot, so the stream is whole.
+    let deliver = |result: JobResult| {
+        let stream = shared.jobs.lock().streams.remove(&result.id);
+        if let Some(stream) = stream {
+            forward_events(shared, &stream);
+        }
+        shared.send(&Response::Done(JobDone::from(&result)));
+        shared.completed.fetch_add(1, Ordering::Relaxed);
+        shared.jobs.lock().inflight.remove(&result.id);
+    };
     loop {
         let mut wrote = false;
-        // Completions first: flush the job's buffered events, then the
-        // terminal Done. The scheduler publishes the terminal bus event
-        // before completing the slot, so the stream is whole.
+        // Completions first.
         while let Ok(result) = done_rx.try_recv() {
-            let stream = shared.jobs.lock().streams.remove(&result.id);
-            if let Some(stream) = stream {
-                forward_events(shared, &stream);
-            }
-            shared.send(&Response::Done(JobDone::from(&result)));
-            shared.completed.fetch_add(1, Ordering::Relaxed);
-            shared.jobs.lock().inflight.remove(&result.id);
+            deliver(result);
             wrote = true;
         }
         // Then live progress for still-running streaming jobs.
@@ -419,7 +428,15 @@ fn pump_loop<W: Write + Send>(
             if reader_done && shared.jobs.lock().inflight.is_empty() {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(2));
+            // Idle. A completion ends the wait at once, so a `Done` never
+            // sits out a tick; the tick only paces the event poll and the
+            // exit check above.
+            match done_rx.recv_timeout(PUMP_TICK) {
+                Ok(result) => deliver(result),
+                Err(RecvTimeoutError::Timeout) => {}
+                // Reader gone and every watched job delivered.
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
         }
     }
 }

@@ -177,6 +177,13 @@ for t in crates/*/tests/*.rs tests/*.rs; do
     build_test "$tname" "$t" "$OUT/it_${label}"
 done
 
+# The benchmark crate (not in CRATES) builds itself, optimized, into
+# target/benchmark-offline: its integration test above gets the binary from
+# build.sh, and its unit tests come from the same script.
+echo "==> test benchmark (crates/benchmark/build.sh --test)"
+bench_unit=$(bash crates/benchmark/build.sh --test) || fail "test build benchmark"
+TEST_BINS+=("$bench_unit")
+
 # Binaries (compile check only).
 for b in src/bin/*.rs crates/bench/src/bin/*.rs; do
     [ -f "$b" ] || continue

@@ -3,7 +3,7 @@
 #
 #   scripts/verify.sh            # full gate
 #   scripts/verify.sh --no-clippy  # skip the lint pass (e.g. older toolchains)
-#   scripts/verify.sh --no-bench   # skip the columnar microbench smoke run
+#   scripts/verify.sh --no-bench   # skip the benchmark smoke runs and their digest gates
 #
 # Fails fast on the first broken step.
 set -euo pipefail
@@ -182,6 +182,13 @@ print(
 )
 EOF
     rm -f "$shard_out"
+
+    echo "==> benchmark all --smoke (end-to-end workloads, digest-checked)"
+    # The benchmark BENCHMARK.json names, on EnsembleSpec::tiny: all four
+    # workloads over the real TCP path plus the traced per-layer runs. It
+    # exits non-zero when any answer fails or misses its serial-anchor
+    # digest (`correct` false), or sharded and serial digests differ.
+    bash crates/benchmark/run.sh all --smoke >/dev/null
 fi
 
 echo "verify: OK"
