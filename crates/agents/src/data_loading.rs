@@ -102,7 +102,6 @@ pub fn run_load(ctx: &AgentContext, state: &mut RunState, spec: &LoadSpec) -> Ag
         bytes_on_disk: 0,
         bytes_logical: 0,
     };
-    let multi_step = spec.steps.len() > 1;
 
     for tspec in &spec.tables {
         let entity = tspec.entity_kind();
@@ -126,8 +125,8 @@ pub fn run_load(ctx: &AgentContext, state: &mut RunState, spec: &LoadSpec) -> Ag
 
         // Parallel selective reads across every in-scope file (the
         // paper's "parallelized workflow execution" future work applied
-        // to the I/O-bound stage), followed by ordered appends so table
-        // chunk layout stays deterministic.
+        // to the I/O-bound stage), followed by one append of the batches
+        // in file order so table chunk layout stays deterministic.
         use rayon::prelude::*;
         let files: Vec<(u32, u32)> = spec
             .sims
@@ -199,18 +198,17 @@ pub fn run_load(ctx: &AgentContext, state: &mut RunState, spec: &LoadSpec) -> Ag
             })
             .collect::<AgentResult<_>>()?;
 
-        let mut table_created = false;
-        for (bytes_read, file_bytes, batch) in batches {
+        let mut frames: Vec<&DataFrame> = Vec::with_capacity(batches.len());
+        for (bytes_read, file_bytes, batch) in &batches {
             stats.bytes_read += bytes_read;
             stats.bytes_touched_files += file_bytes;
-            if !table_created {
-                ctx.db.create_table(&tspec.output, &batch.schema())?;
-                table_created = true;
-            }
-            ctx.db.append(&tspec.output, &batch)?;
             stats.rows_loaded += batch.n_rows() as u64;
+            frames.push(batch);
         }
-        let _ = multi_step;
+        if let Some(first) = frames.first() {
+            ctx.db.create_table(&tspec.output, &first.schema())?;
+            ctx.db.append_batches(&tspec.output, &frames)?;
+        }
     }
 
     if spec.include_params {

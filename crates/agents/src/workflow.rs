@@ -74,8 +74,8 @@ impl RunReport {
     }
 
     /// Execution-kernel breakdown: join build/probe timings, radix
-    /// partition count, group-by partials, and dictionary fast-path
-    /// savings. Empty string when the run executed no join/group-by.
+    /// partition count, group-by partials, dictionary fast-path savings,
+    /// and the write-path counts (meta flushes, frames put vs rendered).
     pub fn kernel_breakdown_text(&self) -> String {
         use infera_obs::metric_names as names;
         use std::fmt::Write as _;
@@ -107,6 +107,9 @@ impl RunReport {
             ("scan rows pruned", names::SCAN_ROWS_PRUNED),
             ("faults recovered", names::FAULT_RECOVERED),
             ("chunks quarantined", names::STORAGE_CHUNKS_QUARANTINED),
+            ("meta flushes", names::STORAGE_META_FLUSHES),
+            ("frames put", names::PROV_FRAMES_PUT),
+            ("frames rendered", names::PROV_FRAMES_RENDERED),
         ] {
             if let Some(v) = self.metrics.counters.get(name) {
                 let _ = writeln!(out, "{label:<22} {v:>6}");
@@ -453,6 +456,11 @@ pub fn run_question_with_plan(
     .map_err(|e| AgentError::Fatal(format!("checkpoint state serialization: {e}")))?;
     infera_provenance::save_checkpoint(&ctx.prov, "final", None, &state.frames, &state_json)
         .map_err(AgentError::from)?;
+    let frames = ctx.prov.frame_counts();
+    ctx.obs.metrics.inc(metric_names::PROV_FRAMES_PUT, frames.put);
+    ctx.obs
+        .metrics
+        .inc(metric_names::PROV_FRAMES_RENDERED, frames.rendered);
 
     let (satisfactory_data, satisfactory_viz) = assess(&state);
     let completed = !state.failed
@@ -626,6 +634,67 @@ mod tests {
         }
         // Checkpoint saved for branching.
         assert!(!infera_provenance::list_checkpoints(&c.prov).unwrap().is_empty());
+    }
+
+    /// The final checkpoint stores each frame once, through the store's
+    /// frame memo. Its record and the artifacts on disk must be those of
+    /// the path that renders every frame of the environment again.
+    #[test]
+    fn checkpoint_record_equals_render_everything_record() {
+        use infera_provenance::{ArtifactKind, ProvenanceStore};
+        let c = ctx("ckptrecord", 6, BehaviorProfile::perfect());
+        let question = "What are the slope and normalization of the relation between halo mass \
+                        and velocity dispersion at timestep 624 in simulation 0? Show a scatter \
+                        plot with the fitted line.";
+        let (_, plan) = plan_question(&c, question);
+        let mut state = RunState::new(question, SemanticLevel::Medium, plan);
+        build_workflow(c.clone()).run(&mut state).unwrap();
+        assert!(!state.failed, "{:?}", state.outcomes);
+        let id = infera_provenance::save_checkpoint(&c.prov, "final", None, &state.frames, "{}")
+            .unwrap();
+        let record = infera_provenance::list_checkpoints(&c.prov)
+            .unwrap()
+            .into_iter()
+            .find(|r| r.id == id)
+            .unwrap();
+
+        // Render everything, into a store that has seen none of it.
+        let reference_dir = std::env::temp_dir().join("infera_workflow_tests/ckptrecord_ref");
+        std::fs::remove_dir_all(&reference_dir).ok();
+        let reference = ProvenanceStore::create(&reference_dir).unwrap();
+        let mut names: Vec<&String> = state.frames.keys().collect();
+        names.sort();
+        assert!(names.len() >= 3, "steps plus side frames: {names:?}");
+        let expected: Vec<(String, infera_provenance::ArtifactId)> = names
+            .into_iter()
+            .map(|name| {
+                let csv = state.frames[name].to_csv_string();
+                (name.clone(), reference.put_text(ArtifactKind::Csv, &csv).unwrap())
+            })
+            .collect();
+        assert_eq!(record.frames, expected);
+
+        let csv_listing = |store: &ProvenanceStore| -> std::collections::BTreeSet<String> {
+            std::fs::read_dir(store.dir().join("artifacts"))
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .filter(|f| f.ends_with(".csv"))
+                .collect()
+        };
+        let mut wanted = csv_listing(&reference);
+        wanted.extend(state.data_outputs.iter().map(|a| a.0.clone()));
+        assert_eq!(csv_listing(&c.prov), wanted);
+        for (_, artifact) in &expected {
+            assert_eq!(
+                c.prov.get_text(artifact).unwrap(),
+                reference.get_text(artifact).unwrap()
+            );
+        }
+        // Step outputs reached the store twice (their step, then the
+        // checkpoint), yet there is one render per CSV on disk.
+        let counts = c.prov.frame_counts();
+        assert!(counts.put > counts.rendered, "{counts:?}");
+        assert_eq!(counts.rendered as usize, csv_listing(&c.prov).len(), "{counts:?}");
     }
 
     #[test]

@@ -134,15 +134,25 @@ impl Database {
 
     /// Append a batch using the database's default chunking.
     pub fn append(&self, name: &str, batch: &DataFrame) -> DbResult<()> {
-        self.append_chunked(name, batch, self.chunk_rows)
+        self.append_batches(name, &[batch])
+    }
+
+    /// Append `batches` in order as one write: chunked batch by batch,
+    /// `meta.json` flushed once (see [`TableStore::append_batches`]).
+    pub fn append_batches(&self, name: &str, batches: &[&DataFrame]) -> DbResult<()> {
+        self.append_with(name, batches, self.chunk_rows)
     }
 
     /// Append a batch with explicit chunk rows (tests / ingestion tuning).
     pub fn append_chunked(&self, name: &str, batch: &DataFrame, chunk_rows: usize) -> DbResult<()> {
+        self.append_with(name, &[batch], chunk_rows)
+    }
+
+    fn append_with(&self, name: &str, batches: &[&DataFrame], chunk_rows: usize) -> DbResult<()> {
         let table = self.table(name)?;
         let mut t = table.write();
         t.compress = self.compress;
-        let stats = t.append(batch, chunk_rows)?;
+        let stats = t.append_batches(batches, chunk_rows)?;
         self.obs
             .metrics
             .inc(infera_obs::metric_names::STORAGE_ENCODED_BYTES, stats.encoded_bytes);

@@ -262,6 +262,78 @@ fn encode_chunk_frame(chunk: &DataFrame, compress: bool) -> EncodedChunk {
     }
 }
 
+/// The ordered writer of one append call: one append handle per column
+/// file, the running end offset of each, and the locations of the chunks
+/// written so far — staged here, and moved into the table's meta only
+/// once every chunk of the call is on disk.
+struct ChunkWriter {
+    /// Per column: the file, opened for append, and its current length.
+    files: Vec<(File, u64)>,
+    chunk_rows: Vec<u64>,
+    /// `chunks[column]`: locations staged by this call, in chunk order.
+    chunks: Vec<Vec<ChunkLocation>>,
+    stats: AppendStats,
+}
+
+impl ChunkWriter {
+    fn open(dir: &Path, n_cols: usize) -> DbResult<ChunkWriter> {
+        let files = (0..n_cols)
+            .map(|idx| {
+                let path = TableStore::col_path(dir, idx);
+                let mut f = OpenOptions::new()
+                    .append(true)
+                    .open(&path)
+                    .map_err(|e| DbError::Io(format!("open {}: {e}", path.display())))?;
+                let end = f
+                    .seek(SeekFrom::End(0))
+                    .map_err(|e| DbError::Io(e.to_string()))?;
+                Ok((f, end))
+            })
+            .collect::<DbResult<Vec<_>>>()?;
+        Ok(ChunkWriter {
+            files,
+            chunk_rows: Vec::new(),
+            chunks: vec![Vec::new(); n_cols],
+            stats: AppendStats::default(),
+        })
+    }
+
+    fn write_chunk(&mut self, chunk: EncodedChunk) -> DbResult<()> {
+        for (idx, (bytes, enc, logical, zone, str_zone)) in chunk.columns.into_iter().enumerate() {
+            let fault = infera_faults::check(infera_faults::sites::STORAGE_APPEND);
+            if fault == Some(infera_faults::FaultMode::Error) {
+                return Err(DbError::Io(infera_faults::injected_error("storage.append")));
+            }
+            if fault == Some(infera_faults::FaultMode::Panic) {
+                panic!("{}", infera_faults::injected_error("storage.append"));
+            }
+            let (f, end) = &mut self.files[idx];
+            if fault == Some(infera_faults::FaultMode::Torn) {
+                // Simulated crash mid-write: a prefix of the chunk lands,
+                // the call dies before the meta flush.
+                f.write_all(&bytes[..bytes.len() / 2])
+                    .map_err(|e| DbError::Io(e.to_string()))?;
+                return Err(DbError::Io(infera_faults::injected_error("storage.append")));
+            }
+            f.write_all(&bytes).map_err(|e| DbError::Io(e.to_string()))?;
+            self.stats.encoded_bytes += bytes.len() as u64;
+            self.stats.logical_bytes += logical;
+            self.chunks[idx].push(ChunkLocation {
+                offset: *end,
+                byte_len: bytes.len() as u64,
+                logical_bytes: logical,
+                encoding: enc,
+                zone,
+                str_zone,
+                checksum: chunk_checksum(&bytes),
+            });
+            *end += bytes.len() as u64;
+        }
+        self.chunk_rows.push(chunk.n_rows);
+        Ok(())
+    }
+}
+
 /// Exact distinct count over a bounded, evenly-strided sample of a
 /// column; saturated samples (nearly all-distinct) extrapolate to the
 /// full length. Deterministic: the result is a set cardinality, not a
@@ -448,92 +520,91 @@ impl TableStore {
         std::fs::write(&tmp, &text).map_err(|e| DbError::Io(e.to_string()))?;
         std::fs::rename(&tmp, Self::meta_path(&self.dir))
             .map_err(|e| DbError::Io(e.to_string()))?;
+        self.obs
+            .metrics
+            .inc(infera_obs::metric_names::STORAGE_META_FLUSHES, 1);
         Ok(())
     }
 
-    /// Append a batch of rows. The frame's schema (names and dtypes, in
-    /// order) must match the table's. Large batches are split into chunks
-    /// of `chunk_rows`; chunk encoding fans out to worker threads while
-    /// the file writes happen in deterministic chunk order.
+    /// Append one batch: the one-element case of [`Self::append_batches`].
     pub fn append(&mut self, batch: &DataFrame, chunk_rows: usize) -> DbResult<AppendStats> {
+        self.append_batches(&[batch], chunk_rows)
+    }
+
+    /// Append `batches` in order. Every batch's schema (names and dtypes,
+    /// in order) must match the table's and is checked before a byte is
+    /// written. Each batch is split into chunks of `chunk_rows` — a chunk
+    /// never spans two batches, so chunk layout, zone maps and checksums
+    /// are those of appending the batches one call at a time — and chunk
+    /// encoding fans out to worker threads while the file writes happen
+    /// in deterministic chunk order.
+    ///
+    /// Each column file is opened once for the call and `meta.json` is
+    /// flushed once, after the last chunk. Until that flush renames the
+    /// new meta into place the table on disk is the table before the
+    /// call: a failure or crash anywhere earlier leaves only trailing
+    /// bytes in the column files that no chunk location covers, and the
+    /// in-memory meta is not touched either.
+    pub fn append_batches(
+        &mut self,
+        batches: &[&DataFrame],
+        chunk_rows: usize,
+    ) -> DbResult<AppendStats> {
         let expected: Vec<(String, DType)> = self
             .meta
             .columns
             .iter()
             .map(|(n, t)| (n.clone(), DType::from(*t)))
             .collect();
-        let got = batch.schema();
-        if got != expected {
-            return Err(DbError::Plan(format!(
-                "append schema mismatch: table {expected:?} vs batch {got:?}"
-            )));
+        for batch in batches {
+            let got = batch.schema();
+            if got != expected {
+                return Err(DbError::Plan(format!(
+                    "append schema mismatch: table {expected:?} vs batch {got:?}"
+                )));
+            }
         }
         let chunk_rows = chunk_rows.max(1);
-        let bounds: Vec<(usize, usize)> = (0..batch.n_rows())
-            .step_by(chunk_rows)
-            .map(|s| (s, (s + chunk_rows).min(batch.n_rows())))
-            .collect();
-        // Encode off-thread; the ordered writer below owns the files.
         let compress = self.compress;
-        let encoded: Vec<EncodedChunk> = bounds
-            .par_iter()
-            .map(|&(s, e)| encode_chunk_frame(&batch.slice(s, e), compress))
-            .collect();
-        let mut stats = AppendStats::default();
-        for chunk in encoded {
-            let s = self.write_chunk(chunk)?;
-            stats.encoded_bytes += s.encoded_bytes;
-            stats.logical_bytes += s.logical_bytes;
+        let mut writer = ChunkWriter::open(&self.dir, expected.len())?;
+        for batch in batches {
+            let bounds: Vec<(usize, usize)> = (0..batch.n_rows())
+                .step_by(chunk_rows)
+                .map(|s| (s, (s + chunk_rows).min(batch.n_rows())))
+                .collect();
+            // Encode off-thread; the ordered writer owns the files.
+            let encoded: Vec<EncodedChunk> = bounds
+                .par_iter()
+                .map(|&(s, e)| encode_chunk_frame(&batch.slice(s, e), compress))
+                .collect();
+            for chunk in encoded {
+                writer.write_chunk(chunk)?;
+            }
+        }
+        let ChunkWriter {
+            chunk_rows: new_rows,
+            chunks: new_chunks,
+            stats,
+            ..
+        } = writer;
+        let chunks_before = self.meta.n_chunks();
+        let version_before = self.meta.version;
+        self.meta.chunk_rows.extend(new_rows);
+        for (column, new) in self.meta.chunks.iter_mut().zip(new_chunks) {
+            column.extend(new);
         }
         // New chunks may carry v2 encodings, so a v1 table upgrades in
         // place on its first append (existing raw chunks stay valid).
         self.meta.version = FORMAT_VERSION;
-        self.flush_meta()?;
-        self.distinct_cache.lock().unwrap().clear();
-        Ok(stats)
-    }
-
-    fn write_chunk(&mut self, chunk: EncodedChunk) -> DbResult<AppendStats> {
-        let mut stats = AppendStats::default();
-        for (idx, (bytes, enc, logical, zone, str_zone)) in chunk.columns.into_iter().enumerate() {
-            let fault = infera_faults::check(infera_faults::sites::STORAGE_APPEND);
-            if fault == Some(infera_faults::FaultMode::Error) {
-                return Err(DbError::Io(infera_faults::injected_error("storage.append")));
+        if let Err(e) = self.flush_meta() {
+            self.meta.chunk_rows.truncate(chunks_before);
+            for column in &mut self.meta.chunks {
+                column.truncate(chunks_before);
             }
-            if fault == Some(infera_faults::FaultMode::Panic) {
-                panic!("{}", infera_faults::injected_error("storage.append"));
-            }
-            let path = Self::col_path(&self.dir, idx);
-            let mut f = OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .map_err(|e| DbError::Io(format!("open {}: {e}", path.display())))?;
-            let offset = f
-                .seek(SeekFrom::End(0))
-                .map_err(|e| DbError::Io(e.to_string()))?;
-            let checksum = chunk_checksum(&bytes);
-            if fault == Some(infera_faults::FaultMode::Torn) {
-                // Simulated crash mid-append: persist only a prefix, but
-                // record the full extent — exactly what a power cut after
-                // the metadata flush would leave behind.
-                f.write_all(&bytes[..bytes.len() / 2])
-                    .map_err(|e| DbError::Io(e.to_string()))?;
-            } else {
-                f.write_all(&bytes).map_err(|e| DbError::Io(e.to_string()))?;
-            }
-            stats.encoded_bytes += bytes.len() as u64;
-            stats.logical_bytes += logical;
-            self.meta.chunks[idx].push(ChunkLocation {
-                offset,
-                byte_len: bytes.len() as u64,
-                logical_bytes: logical,
-                encoding: enc,
-                zone,
-                str_zone,
-                checksum,
-            });
+            self.meta.version = version_before;
+            return Err(e);
         }
-        self.meta.chunk_rows.push(chunk.n_rows);
+        self.distinct_cache.lock().unwrap().clear();
         Ok(stats)
     }
 

@@ -35,9 +35,11 @@ pub const INJECTED_MARKER: &str = "fault-injected";
 pub mod sites {
     /// Chunk read path in columnar storage (`TableStore::read_chunk_bytes`).
     pub const STORAGE_READ: &str = "storage.read";
-    /// Chunk append path in columnar storage (`TableStore::write_chunk`).
+    /// Chunk append path in columnar storage: one check per chunk per
+    /// column, inside `TableStore::append_batches`.
     pub const STORAGE_APPEND: &str = "storage.append";
-    /// Metadata flush (`TableStore::flush_meta`).
+    /// Metadata flush (`TableStore::flush_meta`): one check per append
+    /// call, after its last chunk.
     pub const STORAGE_META: &str = "storage.meta";
     /// Inside a serve worker's per-job execution (panic isolation target).
     pub const SERVE_JOB: &str = "serve.job";

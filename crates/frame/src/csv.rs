@@ -9,6 +9,7 @@ use crate::column::Column;
 use crate::error::{FrameError, FrameResult};
 use crate::frame::DataFrame;
 use crate::value::DType;
+use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 use std::path::Path;
 
@@ -29,6 +30,39 @@ fn write_field(out: &mut String, s: &str) {
     } else {
         out.push_str(s);
     }
+}
+
+/// Append cell `row` of `col` as a CSV field.
+fn write_cell(out: &mut String, col: &Column, row: usize) {
+    match col {
+        Column::F64(v) => write_f64(out, v[row]),
+        Column::I64(v) => {
+            // Writing into a `String` cannot fail.
+            let _ = write!(out, "{}", v[row]);
+        }
+        Column::Bool(v) => out.push_str(if v[row] { "true" } else { "false" }),
+        Column::Str(v) => write_field(out, &v[row]),
+    }
+}
+
+/// Append a float: nothing for NaN, shortest round-trip digits otherwise,
+/// and whole numbers keep a ".0" so the reader's type inference
+/// round-trips the column as f64, not i64.
+fn write_f64(out: &mut String, v: f64) {
+    /// 2^63: every whole-number float below it in magnitude is an i64.
+    const I64_RANGE: f64 = 9_223_372_036_854_775_808.0;
+    // Writing into a `String` cannot fail.
+    let _ = if v.is_nan() {
+        Ok(())
+    } else if v.fract() == 0.0 && v != 0.0 && v.abs() < I64_RANGE {
+        // Exactly an i64, whose digits are those of `{v:.1}` at a tenth of
+        // its cost (zero is left out: `-0.0` keeps its sign).
+        write!(out, "{}.0", v as i64)
+    } else if v.is_finite() && v.fract() == 0.0 {
+        write!(out, "{v:.1}")
+    } else {
+        write!(out, "{v}")
+    };
 }
 
 /// Split one CSV record into fields, handling quotes. `None` if the record
@@ -70,7 +104,15 @@ fn split_record(line: &str) -> Option<Vec<String>> {
 impl DataFrame {
     /// Serialize to a CSV string with a header row. Floats use shortest
     /// round-trip formatting; `NaN` serializes as an empty field.
+    ///
+    /// One typed pass: each cell is formatted straight into the output
+    /// buffer from its column's vector. Only strings can hold a character
+    /// that needs quoting, so only they are scanned for one.
     pub fn to_csv_string(&self) -> String {
+        /// Rows rendered before the buffer is sized from their mean width.
+        const SIZING_ROWS: usize = 64;
+        let n_rows = self.n_rows();
+        let columns: Vec<&Column> = self.iter_columns().map(|(_, col)| col).collect();
         let mut out = String::new();
         for (i, name) in self.names().iter().enumerate() {
             if i > 0 {
@@ -79,20 +121,19 @@ impl DataFrame {
             write_field(&mut out, name);
         }
         out.push('\n');
-        for row in 0..self.n_rows() {
-            for (i, (_, col)) in self.iter_columns().enumerate() {
+        let header_len = out.len();
+        for row in 0..n_rows {
+            if row == SIZING_ROWS {
+                let per_row = (out.len() - header_len) / SIZING_ROWS + 1;
+                // An eighth of slack: later rows tend to be no narrower
+                // (ids grow), and one reallocation would copy everything.
+                out.reserve(per_row * (n_rows - row) / 8 * 9);
+            }
+            for (i, col) in columns.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                // Whole-number floats keep a ".0" so the reader's type
-                // inference round-trips the column as f64, not i64.
-                let text = match col.get(row) {
-                    crate::Value::F64(v) if v.is_finite() && v.fract() == 0.0 => {
-                        format!("{v:.1}")
-                    }
-                    v => v.to_string(),
-                };
-                write_field(&mut out, &text);
+                write_cell(&mut out, col, row);
             }
             out.push('\n');
         }

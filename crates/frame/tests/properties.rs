@@ -162,3 +162,141 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------- CSV bytes
+
+/// The per-cell writer `to_csv_string` replaced — a `Value` and a `String`
+/// per cell, every field scanned for quoting — kept as the reference the
+/// typed writer must match byte for byte: artifact ids are hashes of
+/// these bytes.
+fn reference_csv(df: &DataFrame) -> String {
+    fn write_field(out: &mut String, s: &str) {
+        if s.contains(',') || s.contains('"') || s.contains('\n') || s.contains('\r') {
+            out.push('"');
+            for c in s.chars() {
+                if c == '"' {
+                    out.push('"');
+                }
+                out.push(c);
+            }
+            out.push('"');
+        } else {
+            out.push_str(s);
+        }
+    }
+    let mut out = String::new();
+    for (i, name) in df.names().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_field(&mut out, name);
+    }
+    out.push('\n');
+    for row in 0..df.n_rows() {
+        for (i, (_, col)) in df.iter_columns().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let text = match col.get(row) {
+                infera_frame::Value::F64(v) if v.is_finite() && v.fract() == 0.0 => {
+                    format!("{v:.1}")
+                }
+                v => v.to_string(),
+            };
+            write_field(&mut out, &text);
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Floats around every branch of the writer: missing, infinite, signed
+/// zero, whole numbers below and beyond 1e16 and at the i64 boundary,
+/// fractions, subnormals.
+fn arb_csv_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        1 => Just(f64::NAN),
+        1 => Just(f64::INFINITY),
+        1 => Just(f64::NEG_INFINITY),
+        1 => Just(0.0f64),
+        1 => Just(-0.0f64),
+        1 => Just(9_223_372_036_854_775_808.0f64),
+        1 => Just(-9_223_372_036_854_775_808.0f64),
+        1 => Just(9_223_372_036_854_774_784.0f64),
+        1 => Just(9_007_199_254_740_993.0f64),
+        1 => Just(f64::MAX),
+        1 => Just(f64::MIN_POSITIVE / 8.0),
+        4 => (-1.0e16f64..1.0e16).prop_map(f64::trunc),
+        3 => (1.0e16f64..1.0e22).prop_map(|v| -v.trunc()),
+        2 => (1.0e22f64..1.0e300).prop_map(f64::trunc),
+        4 => -1.0e6f64..1.0e6,
+        3 => any::<f64>(),
+    ]
+}
+
+fn arb_csv_text() -> impl Strategy<Value = String> {
+    const ALPHABET: [char; 10] = ['a', 'Z', '7', ' ', ',', '"', '\n', '\r', 'é', '.'];
+    proptest::collection::vec(0usize..ALPHABET.len(), 0..7)
+        .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+}
+
+/// Frames of all four dtypes, 0 to 150 rows (the writer sizes its buffer
+/// at row 64), under headers that do and do not need quoting.
+fn arb_csv_frame() -> impl Strategy<Value = DataFrame> {
+    (0usize..150, 0usize..4).prop_flat_map(|(rows, header)| {
+        (
+            proptest::collection::vec(arb_csv_f64(), rows),
+            proptest::collection::vec(
+                prop_oneof![6 => any::<i64>(), 1 => Just(i64::MIN), 1 => Just(i64::MAX), 2 => -9i64..10],
+                rows,
+            ),
+            proptest::collection::vec(arb_csv_text(), rows),
+            proptest::collection::vec(any::<bool>(), rows),
+        )
+            .prop_map(move |(floats, ints, texts, flags)| {
+                let names = [
+                    ["f", "i", "s", "b"],
+                    ["mass, total", "i", "say \"hi\"", "b"],
+                    ["f", "line\nbreak", "s", "cr\rhere"],
+                    ["é", "", " ", "\""],
+                ][header];
+                DataFrame::from_columns([
+                    (names[0], Column::F64(floats)),
+                    (names[1], Column::I64(ints)),
+                    (names[2], Column::Str(texts)),
+                    (names[3], Column::Bool(flags)),
+                ])
+                .expect("equal lengths, distinct names")
+            })
+    })
+}
+
+proptest! {
+    /// The typed single-pass writer produces the reference writer's bytes.
+    #[test]
+    fn csv_bytes_match_reference_writer(df in arb_csv_frame()) {
+        prop_assert_eq!(df.to_csv_string(), reference_csv(&df));
+    }
+
+    /// Column by column too: a one-column frame has no separators to hide
+    /// a misplaced byte behind.
+    #[test]
+    fn csv_float_column_matches_reference(vals in proptest::collection::vec(arb_csv_f64(), 0..200)) {
+        let df = DataFrame::from_columns([("v", Column::F64(vals))]).unwrap();
+        prop_assert_eq!(df.to_csv_string(), reference_csv(&df));
+    }
+}
+
+#[test]
+fn csv_of_empty_frames_matches_reference() {
+    let no_columns = DataFrame::new();
+    assert_eq!(no_columns.to_csv_string(), "\n");
+    assert_eq!(no_columns.to_csv_string(), reference_csv(&no_columns));
+    let no_rows = DataFrame::from_columns([
+        ("a,b", Column::F64(Vec::new())),
+        ("c", Column::Str(Vec::new())),
+    ])
+    .unwrap();
+    assert_eq!(no_rows.to_csv_string(), "\"a,b\",c\n");
+    assert_eq!(no_rows.to_csv_string(), reference_csv(&no_rows));
+}

@@ -21,6 +21,15 @@ pub mod names {
     /// Raw-layout bytes those same appends represent; the ratio of the
     /// two counters is the realized compression ratio.
     pub const STORAGE_LOGICAL_BYTES: &str = "storage.logical_bytes";
+    /// `meta.json` flushes of tables attached to this registry. A table is
+    /// attached after its creating flush, so this counts the flushes
+    /// that followed: one per append call, whatever the batch count.
+    pub const STORAGE_META_FLUSHES: &str = "storage.meta_flushes";
+    /// Frames handed to the provenance store (`put_frame` calls).
+    pub const PROV_FRAMES_PUT: &str = "provenance.frames_put";
+    /// Frames the provenance store rendered to CSV: with every distinct
+    /// frame rendered once, the number of distinct frames put.
+    pub const PROV_FRAMES_RENDERED: &str = "provenance.frames_rendered";
     /// Rows a late-materializing scan never decoded because the
     /// predicate's selection vector rejected them.
     pub const SCAN_ROWS_PRUNED: &str = "scan.rows_pruned";
@@ -174,6 +183,9 @@ pub mod names {
         &[
             STORAGE_ENCODED_BYTES,
             STORAGE_LOGICAL_BYTES,
+            STORAGE_META_FLUSHES,
+            PROV_FRAMES_PUT,
+            PROV_FRAMES_RENDERED,
             SCAN_ROWS_PRUNED,
             JOIN_BUILD_MS,
             JOIN_PROBE_MS,

@@ -9,7 +9,7 @@
 //! an arbitrary JSON state blob, and records its parent, forming a
 //! branchable lineage tree.
 
-use crate::store::{ArtifactId, ProvResult, ProvenanceError, ProvenanceStore};
+use crate::store::{write_atomic, ArtifactId, ProvResult, ProvenanceError, ProvenanceStore};
 use infera_frame::DataFrame;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -47,7 +47,7 @@ fn load_index(store: &ProvenanceStore) -> ProvResult<Vec<CheckpointRecord>> {
 
 fn save_index(store: &ProvenanceStore, index: &[CheckpointRecord]) -> ProvResult<()> {
     let text = serde_json::to_string_pretty(index).expect("index serializes");
-    std::fs::write(index_path(store), text).map_err(|e| ProvenanceError::Io(e.to_string()))
+    write_atomic(&index_path(store), text.as_bytes())
 }
 
 /// Save a checkpoint of `env` (+ agent `state_json`) with optional parent.
@@ -203,6 +203,23 @@ mod tests {
         assert_eq!(list[0].label, "persisted");
         let (loaded, _) = load_checkpoint(&store, id).unwrap();
         assert_eq!(loaded["halos"].n_rows(), 2);
+    }
+
+    #[test]
+    fn interrupted_index_write_keeps_the_old_index() {
+        let dir = tmp("tornindex");
+        let store = ProvenanceStore::create(&dir).unwrap();
+        let first = save_checkpoint(&store, "first", None, &env(1.0), "{}").unwrap();
+        // A crash while the next index was being written leaves its
+        // temporary file; the index itself is the last complete one.
+        std::fs::write(dir.join("checkpoints.json.tmp"), b"[{\"id\": 2, \"par").unwrap();
+        let store = ProvenanceStore::create(&dir).unwrap();
+        let list = list_checkpoints(&store).unwrap();
+        assert_eq!(list.len(), 1);
+        assert_eq!(list[0].id, first);
+        let second = save_checkpoint(&store, "second", Some(first), &env(2.0), "{}").unwrap();
+        assert_eq!(lineage(&store, second).unwrap(), vec![first, second]);
+        assert!(!dir.join("checkpoints.json.tmp").exists());
     }
 
     #[test]

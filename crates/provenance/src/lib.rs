@@ -13,4 +13,6 @@ pub mod store;
 pub use checkpoint::{
     lineage, list_checkpoints, load_checkpoint, save_checkpoint, CheckpointId, CheckpointRecord,
 };
-pub use store::{ArtifactId, ArtifactKind, Event, ProvResult, ProvenanceError, ProvenanceStore};
+pub use store::{
+    ArtifactId, ArtifactKind, Event, FrameCounts, ProvResult, ProvenanceError, ProvenanceStore,
+};

@@ -6,10 +6,13 @@
 //! are stored content-addressed (identical intermediates dedupe); events
 //! form an append-only JSONL log referencing artifact ids.
 
-use infera_frame::DataFrame;
+use infera_frame::{Column, DataFrame};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
+use std::fs::File;
+use std::hash::{Hash, Hasher};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -108,9 +111,61 @@ pub struct Event {
     pub wall_ms: u64,
 }
 
+/// Content fingerprint of a frame: names, dtypes and every cell (floats
+/// by bit pattern). Equal frames have equal fingerprints and therefore
+/// equal CSV; it lives only in memory, so the hasher need not be stable
+/// across builds.
+fn frame_fingerprint(frame: &DataFrame) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    frame.n_cols().hash(&mut h);
+    for (name, col) in frame.iter_columns() {
+        name.hash(&mut h);
+        std::mem::discriminant(col).hash(&mut h);
+        match col {
+            Column::F64(v) => {
+                v.len().hash(&mut h);
+                for x in v {
+                    h.write_u64(x.to_bits());
+                }
+            }
+            Column::I64(v) => v.hash(&mut h),
+            Column::Str(v) => v.hash(&mut h),
+            Column::Bool(v) => v.hash(&mut h),
+        }
+    }
+    h.finish()
+}
+
+/// `put_frame` calls against CSV renders: the difference is the renders
+/// the store's frame memo saved.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrameCounts {
+    pub put: u64,
+    pub rendered: u64,
+}
+
 struct Inner {
     next_seq: u64,
     events: Vec<Event>,
+    /// Append handle of `events.jsonl`, opened by the first event logged.
+    log: Option<File>,
+    /// Frames this handle has stored, by [`frame_fingerprint`]: a frame
+    /// put again (a checkpoint of a step's output) is not rendered again.
+    /// Holds ids only, never a frame.
+    frame_ids: HashMap<u64, ArtifactId>,
+    frame_counts: FrameCounts,
+}
+
+/// Write `bytes` to `path` through a temporary file beside it and a
+/// rename: a crash leaves the previous file (or none) or the complete new
+/// one, never a truncated one.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> ProvResult<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    std::fs::write(&tmp, bytes)
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .map_err(|e| ProvenanceError::Io(format!("write {}: {e}", path.display())))
 }
 
 /// The provenance store for one analysis session.
@@ -141,7 +196,13 @@ impl ProvenanceStore {
         let next_seq = events.last().map_or(1, |e| e.seq + 1);
         Ok(ProvenanceStore {
             dir: dir.to_path_buf(),
-            inner: Mutex::new(Inner { next_seq, events }),
+            inner: Mutex::new(Inner {
+                next_seq,
+                events,
+                log: None,
+                frame_ids: HashMap::new(),
+                frame_counts: FrameCounts::default(),
+            }),
         })
     }
 
@@ -157,16 +218,39 @@ impl ProvenanceStore {
     fn put_bytes(&self, kind: ArtifactKind, bytes: &[u8]) -> ProvResult<ArtifactId> {
         let id = ArtifactId(format!("{:016x}.{}", fnv64(bytes), kind.extension()));
         let path = self.artifact_path(&id);
-        if !path.exists() {
-            std::fs::write(&path, bytes)
-                .map_err(|e| ProvenanceError::Io(format!("write {}: {e}", path.display())))?;
+        // Identical content dedupes against the stored file — unless that
+        // file is shorter than the content its name claims (an in-place
+        // write cut short by a crash), which is replaced. The lock keeps
+        // two writers of one id off the same temporary file.
+        let _writing = self.inner.lock();
+        let stored = std::fs::metadata(&path).is_ok_and(|m| m.len() == bytes.len() as u64);
+        if !stored {
+            write_atomic(&path, bytes)?;
         }
         Ok(id)
     }
 
-    /// Store an intermediate dataframe as CSV.
+    /// Store an intermediate dataframe as CSV. A frame this handle has
+    /// already stored is recognised by content and not rendered again.
     pub fn put_frame(&self, frame: &DataFrame) -> ProvResult<ArtifactId> {
-        self.put_bytes(ArtifactKind::Csv, frame.to_csv_string().as_bytes())
+        let fingerprint = frame_fingerprint(frame);
+        {
+            let mut inner = self.inner.lock();
+            inner.frame_counts.put += 1;
+            if let Some(id) = inner.frame_ids.get(&fingerprint) {
+                return Ok(id.clone());
+            }
+        }
+        let id = self.put_bytes(ArtifactKind::Csv, frame.to_csv_string().as_bytes())?;
+        let mut inner = self.inner.lock();
+        inner.frame_counts.rendered += 1;
+        inner.frame_ids.insert(fingerprint, id.clone());
+        Ok(id)
+    }
+
+    /// How many frames were put, and how many of them had to be rendered.
+    pub fn frame_counts(&self) -> FrameCounts {
+        self.inner.lock().frame_counts
     }
 
     /// Store a text artifact (code, SQL, SVG, JSON, ...).
@@ -214,14 +298,19 @@ impl ProvenanceStore {
             tokens,
             wall_ms,
         };
-        let line = serde_json::to_string(&ev).expect("event serializes");
-        let log = self.dir.join("events.jsonl");
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&log)
+        let mut line = serde_json::to_string(&ev).expect("event serializes");
+        line.push('\n');
+        if inner.log.is_none() {
+            let f = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(self.dir.join("events.jsonl"))
+                .map_err(|e| ProvenanceError::Io(e.to_string()))?;
+            inner.log = Some(f);
+        }
+        let log = inner.log.as_mut().expect("opened above");
+        log.write_all(line.as_bytes())
             .map_err(|e| ProvenanceError::Io(e.to_string()))?;
-        writeln!(f, "{line}").map_err(|e| ProvenanceError::Io(e.to_string()))?;
         inner.events.push(ev);
         Ok(seq)
     }
@@ -239,6 +328,8 @@ impl ProvenanceStore {
             .map(|entries| {
                 entries
                     .filter_map(|e| e.ok())
+                    // A `*.tmp` is a write a crash cut short, not an artifact.
+                    .filter(|e| Path::new(&e.file_name()).extension() != Some("tmp".as_ref()))
                     .filter_map(|e| e.metadata().ok())
                     .map(|m| m.len())
                     .sum()
@@ -307,6 +398,7 @@ mod tests {
         {
             let store = ProvenanceStore::create(&dir).unwrap();
             let a = store.put_text(ArtifactKind::Sql, "SELECT 1").unwrap();
+            assert!(!dir.join("events.jsonl").exists(), "opened by the first event");
             store
                 .log_event("sql", "generate_sql", vec![], vec![a.clone()], "first", 120, 5)
                 .unwrap();
@@ -324,6 +416,72 @@ mod tests {
             .log_event("qa", "score", vec![], vec![], "third", 10, 1)
             .unwrap();
         assert_eq!(seq, 3);
+    }
+
+    #[test]
+    fn a_frame_put_again_is_not_rendered_again() {
+        let dir = tmp("memo");
+        let store = ProvenanceStore::create(&dir).unwrap();
+        let id = store.put_frame(&frame()).unwrap();
+        assert_eq!(store.put_frame(&frame().clone()).unwrap(), id);
+        assert_eq!(store.frame_counts(), FrameCounts { put: 2, rendered: 1 });
+        // Same cells under another name, or as another dtype: other frames.
+        let renamed = DataFrame::from_columns([
+            ("a", Column::from(vec![1i64, 2])),
+            ("c", Column::from(vec![0.5, 1.5])),
+        ])
+        .unwrap();
+        let retyped = DataFrame::from_columns([
+            ("a", Column::from(vec![1.0, 2.0])),
+            ("b", Column::from(vec![0.5, 1.5])),
+        ])
+        .unwrap();
+        assert_ne!(store.put_frame(&renamed).unwrap(), id);
+        assert_ne!(store.put_frame(&retyped).unwrap(), id);
+        assert_eq!(store.frame_counts(), FrameCounts { put: 4, rendered: 3 });
+        // The memo belongs to the handle: a reopened store renders, and
+        // lands on the stored artifact.
+        let reopened = ProvenanceStore::create(&dir).unwrap();
+        assert_eq!(reopened.put_frame(&frame()).unwrap(), id);
+        assert_eq!(reopened.frame_counts(), FrameCounts { put: 1, rendered: 1 });
+    }
+
+    /// What a crash mid-write leaves — a `*.tmp` beside the artifacts, or
+    /// (from an in-place write) an artifact shorter than its content —
+    /// is not stored content: it is not counted, not served, and the next
+    /// put of that content writes it whole.
+    #[test]
+    fn interrupted_writes_are_not_taken_for_artifacts() {
+        let dir = tmp("interrupted");
+        let other = DataFrame::from_columns([("x", Column::from(vec![7i64, 8, 9]))]).unwrap();
+        let (id, other_id, whole) = {
+            let store = ProvenanceStore::create(&dir).unwrap();
+            let id = store.put_frame(&frame()).unwrap();
+            let other_id = ProvenanceStore::create(&tmp("interrupted_scratch"))
+                .unwrap()
+                .put_frame(&other)
+                .unwrap();
+            (id, other_id, store.storage_bytes())
+        };
+        let artifacts = dir.join("artifacts");
+        let csv = frame().to_csv_string();
+        std::fs::write(artifacts.join(&id.0), &csv.as_bytes()[..csv.len() / 2]).unwrap();
+        std::fs::write(artifacts.join(format!("{}.tmp", other_id.0)), b"x\n7\n").unwrap();
+
+        let store = ProvenanceStore::create(&dir).unwrap();
+        assert_eq!(store.storage_bytes(), (csv.len() / 2) as u64, "the tmp is not counted");
+        assert!(matches!(
+            store.get_frame(&other_id),
+            Err(ProvenanceError::MissingArtifact(_))
+        ));
+        assert_eq!(store.put_frame(&other).unwrap(), other_id);
+        assert_eq!(store.get_frame(&other_id).unwrap(), other);
+        assert!(!artifacts.join(format!("{}.tmp", other_id.0)).exists());
+        // The truncated artifact is replaced, not deduped against.
+        assert_eq!(store.put_frame(&frame()).unwrap(), id);
+        assert_eq!(std::fs::read(artifacts.join(&id.0)).unwrap(), csv.as_bytes());
+        assert_eq!(store.get_frame(&id).unwrap(), frame());
+        assert_eq!(store.storage_bytes(), whole + store.get_text(&other_id).unwrap().len() as u64);
     }
 
     #[test]

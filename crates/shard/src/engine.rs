@@ -92,6 +92,15 @@ impl SessionDb {
         }
     }
 
+    /// Append `batches` in order as one write per table (per shard):
+    /// the chunks of one `append` per batch, one `meta.json` flush.
+    pub fn append_batches(&self, name: &str, batches: &[&DataFrame]) -> DbResult<()> {
+        match self {
+            SessionDb::Single(db) => db.append_batches(name, batches),
+            SessionDb::Sharded(s) => s.append_batches(name, batches),
+        }
+    }
+
     pub fn n_rows(&self, table: &str) -> DbResult<u64> {
         match self {
             SessionDb::Single(db) => db.n_rows(table),

@@ -37,6 +37,7 @@ use infera_columnar::sql::{logical, parser, physical, plan as sql_plan};
 use infera_columnar::{Database, DbError, DbResult, ExecOutcome, ExecStats, FragmentMode};
 use infera_frame::{BinOp, DType, DataFrame, Expr};
 use infera_obs::metric_names;
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -194,19 +195,29 @@ impl ShardedDb {
         Ok(())
     }
 
-    /// Append a batch. Partitioned tables route rows to the shard
-    /// owning each row's `sim`; replicated tables append everywhere.
+    /// Append a batch: the one-element case of [`Self::append_batches`].
     pub fn append(&self, name: &str, batch: &DataFrame) -> DbResult<()> {
+        self.append_batches(name, &[batch])
+    }
+
+    /// Append `batches` in order. Partitioned tables route every batch's
+    /// rows to the shard owning each row's `sim` first, then each shard
+    /// takes its share as one batched append (one `meta.json` flush per
+    /// shard); replicated tables append everywhere. A shard's chunks are
+    /// those of appending the batches one call at a time.
+    pub fn append_batches(&self, name: &str, batches: &[&DataFrame]) -> DbResult<()> {
         if !self.is_partitioned(name)? {
             for db in &self.shards {
-                db.append(name, batch)?;
+                db.append_batches(name, batches)?;
             }
             return Ok(());
         }
-        if !batch.schema().iter().any(|(n, d)| n == "sim" && *d == DType::I64) {
-            return Err(DbError::Exec(format!(
-                "append to partitioned table '{name}' requires an I64 'sim' column"
-            )));
+        for batch in batches {
+            if !batch.schema().iter().any(|(n, d)| n == "sim" && *d == DType::I64) {
+                return Err(DbError::Exec(format!(
+                    "append to partitioned table '{name}' requires an I64 'sim' column"
+                )));
+            }
         }
         // Boundary shards take unbounded ends so out-of-range sims (which
         // a well-formed loader never produces) still land deterministically
@@ -230,13 +241,24 @@ impl ShardedDb {
                     Expr::lit(i64::from(spec.sim_hi)),
                 )
             });
-            let sub = match (lower, upper) {
-                (Some(lo), Some(hi)) => batch.filter_expr(&Expr::bin(lo, BinOp::And, hi))?,
-                (Some(p), None) | (None, Some(p)) => batch.filter_expr(&p)?,
-                (None, None) => batch.clone(),
+            let owned = match (lower, upper) {
+                (Some(lo), Some(hi)) => Some(Expr::bin(lo, BinOp::And, hi)),
+                (Some(p), None) | (None, Some(p)) => Some(p),
+                (None, None) => None,
             };
-            if sub.n_rows() > 0 {
-                self.shards[spec.shard].append(name, &sub)?;
+            let mut routed: Vec<Cow<'_, DataFrame>> = Vec::with_capacity(batches.len());
+            for batch in batches {
+                let sub = match &owned {
+                    Some(pred) => Cow::Owned(batch.filter_expr(pred)?),
+                    None => Cow::Borrowed(*batch),
+                };
+                if sub.n_rows() > 0 {
+                    routed.push(sub);
+                }
+            }
+            if !routed.is_empty() {
+                let share: Vec<&DataFrame> = routed.iter().map(Cow::as_ref).collect();
+                self.shards[spec.shard].append_batches(name, &share)?;
             }
         }
         Ok(())

@@ -287,6 +287,76 @@ fn create_table_as_matches() {
     pair.check("SELECT sim, n, m FROM per_sim ORDER BY sim");
 }
 
+/// Every file under `root`, by path relative to it.
+fn tree_files(root: &std::path::Path) -> std::collections::BTreeMap<PathBuf, Vec<u8>> {
+    let mut out = std::collections::BTreeMap::new();
+    let mut pending = vec![root.to_path_buf()];
+    while let Some(dir) = pending.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let rel = path.strip_prefix(root).unwrap().to_path_buf();
+                out.insert(rel, std::fs::read(&path).unwrap());
+            }
+        }
+    }
+    out
+}
+
+/// One batched append leaves every shard the files — `meta.json` and
+/// column bytes — that one append per batch leaves: per-file batches
+/// (one sim each), a batch spanning both shards, an empty one, and a
+/// replicated table.
+#[test]
+fn batched_append_leaves_each_shard_the_bytes_of_one_append_per_batch() {
+    let batches = [
+        halos_frame_range(0, 1, 30, 1),
+        halos_frame_range(3, 4, 20, 2),
+        halos_frame_range(0, 4, 5, 3),
+        halos_frame_range(2, 2, 0, 4),
+        halos_frame_range(1, 2, 40, 5),
+    ];
+    let dims = [dim_frame(), dim_frame()];
+    let open = |tag: &str| {
+        let layout = ShardLayout::build(2, 4, 0xfeed);
+        let db = ShardedDb::create(&fresh_dir(tag), layout, infera_obs::Obs::new()).unwrap();
+        db.create_table("halos", &batches[0].schema()).unwrap();
+        db.create_table("dims", &dims[0].schema()).unwrap();
+        db
+    };
+    let one_by_one = open("append_each");
+    for b in &batches {
+        one_by_one.append("halos", b).unwrap();
+    }
+    for d in &dims {
+        one_by_one.append("dims", d).unwrap();
+    }
+    let batched = open("append_batched");
+    batched
+        .append_batches("halos", &batches.iter().collect::<Vec<_>>())
+        .unwrap();
+    batched
+        .append_batches("dims", &dims.iter().collect::<Vec<_>>())
+        .unwrap();
+
+    let expected = tree_files(one_by_one.root());
+    let got = tree_files(batched.root());
+    assert_eq!(
+        got.keys().collect::<Vec<_>>(),
+        expected.keys().collect::<Vec<_>>()
+    );
+    for (file, bytes) in &expected {
+        assert!(got[file] == *bytes, "{} differs", file.display());
+    }
+    assert!(expected.keys().any(|f| f.ends_with("halos/meta.json")));
+    for db in [&one_by_one, &batched] {
+        assert_eq!(db.n_rows("halos").unwrap(), 30 + 20 + 20 + 40);
+        std::fs::remove_dir_all(db.root()).ok();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

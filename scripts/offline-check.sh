@@ -177,6 +177,11 @@ for t in crates/*/tests/*.rs tests/*.rs; do
     build_test "$tname" "$t" "$OUT/it_${label}"
 done
 
+# The write-path count gate (one meta flush per load, one CSV render per
+# frame) stands in for a timing gate this host cannot hold: it must run.
+[[ " ${TEST_BINS[*]} " == *" $OUT/it_root_write_path_counts "* ]] \
+    || fail "tests/write_path_counts.rs (write-path count gate) is missing"
+
 # The benchmark crate (not in CRATES) builds itself, optimized, into
 # target/benchmark-offline: its integration test above gets the binary from
 # build.sh, and its unit tests come from the same script.

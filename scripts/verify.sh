@@ -53,6 +53,12 @@ echo "==> golden-file tests (JSONL trace schema + Prometheus exposition)"
 # drift must be a conscious, reviewed change to the golden strings.
 cargo test -q -p infera-obs --test golden
 
+echo "==> write-path count gate (one meta flush per load, one CSV render per frame)"
+# Milliseconds cannot gate on a shared host; these counts can, and repeat
+# exactly: a load that flushes per file or a checkpoint that renders a
+# stored frame again fails here.
+cargo test -q --test write_path_counts
+
 if [ "$run_bench" -eq 1 ]; then
     echo "==> microbench --smoke (with throughput regression gate)"
     smoke_out="$(mktemp -t bench_columnar_smoke.XXXXXX.json)"
