@@ -6,10 +6,10 @@
 //! inference on read promotes columns in the order bool → i64 → f64 → str.
 
 use crate::column::Column;
+use crate::decimal;
 use crate::error::{FrameError, FrameResult};
 use crate::frame::DataFrame;
 use crate::value::DType;
-use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 use std::path::Path;
 
@@ -17,30 +17,27 @@ fn needs_quoting(s: &str) -> bool {
     s.contains(',') || s.contains('"') || s.contains('\n') || s.contains('\r')
 }
 
-fn write_field(out: &mut String, s: &str) {
+fn write_field(out: &mut Vec<u8>, s: &str) {
     if needs_quoting(s) {
-        out.push('"');
-        for c in s.chars() {
-            if c == '"' {
-                out.push('"');
+        out.push(b'"');
+        for &b in s.as_bytes() {
+            if b == b'"' {
+                out.push(b'"');
             }
-            out.push(c);
+            out.push(b);
         }
-        out.push('"');
+        out.push(b'"');
     } else {
-        out.push_str(s);
+        out.extend_from_slice(s.as_bytes());
     }
 }
 
 /// Append cell `row` of `col` as a CSV field.
-fn write_cell(out: &mut String, col: &Column, row: usize) {
+fn write_cell(out: &mut Vec<u8>, col: &Column, row: usize) {
     match col {
         Column::F64(v) => write_f64(out, v[row]),
-        Column::I64(v) => {
-            // Writing into a `String` cannot fail.
-            let _ = write!(out, "{}", v[row]);
-        }
-        Column::Bool(v) => out.push_str(if v[row] { "true" } else { "false" }),
+        Column::I64(v) => decimal::push_i64(out, v[row]),
+        Column::Bool(v) => out.extend_from_slice(if v[row] { b"true" } else { b"false" }),
         Column::Str(v) => write_field(out, &v[row]),
     }
 }
@@ -48,21 +45,30 @@ fn write_cell(out: &mut String, col: &Column, row: usize) {
 /// Append a float: nothing for NaN, shortest round-trip digits otherwise,
 /// and whole numbers keep a ".0" so the reader's type inference
 /// round-trips the column as f64, not i64.
-fn write_f64(out: &mut String, v: f64) {
+fn write_f64(out: &mut Vec<u8>, v: f64) {
     /// 2^63: every whole-number float below it in magnitude is an i64.
     const I64_RANGE: f64 = 9_223_372_036_854_775_808.0;
-    // Writing into a `String` cannot fail.
-    let _ = if v.is_nan() {
-        Ok(())
-    } else if v.fract() == 0.0 && v != 0.0 && v.abs() < I64_RANGE {
-        // Exactly an i64, whose digits are those of `{v:.1}` at a tenth of
-        // its cost (zero is left out: `-0.0` keeps its sign).
-        write!(out, "{}.0", v as i64)
-    } else if v.is_finite() && v.fract() == 0.0 {
-        write!(out, "{v:.1}")
+    if v.is_nan() {
+        return;
+    }
+    let truncated = v as i64;
+    if v.abs() >= I64_RANGE {
+        // Whole (every double from 2^52 up is) or infinite: all of its
+        // digits, which are not the shortest ones, or "inf". Writing into
+        // a `Vec` cannot fail.
+        let _ = write!(out, "{v:.1}");
+    } else if truncated as f64 != v {
+        decimal::push_f64(out, v);
+    } else if truncated == 0 {
+        out.extend_from_slice(if v.is_sign_negative() {
+            b"-0.0"
+        } else {
+            b"0.0"
+        });
     } else {
-        write!(out, "{v}")
-    };
+        decimal::push_i64(out, truncated);
+        out.extend_from_slice(b".0");
+    }
 }
 
 /// Split one CSV record into fields, handling quotes. `None` if the record
@@ -113,14 +119,14 @@ impl DataFrame {
         const SIZING_ROWS: usize = 64;
         let n_rows = self.n_rows();
         let columns: Vec<&Column> = self.iter_columns().map(|(_, col)| col).collect();
-        let mut out = String::new();
+        let mut out = Vec::new();
         for (i, name) in self.names().iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
             write_field(&mut out, name);
         }
-        out.push('\n');
+        out.push(b'\n');
         let header_len = out.len();
         for row in 0..n_rows {
             if row == SIZING_ROWS {
@@ -131,13 +137,14 @@ impl DataFrame {
             }
             for (i, col) in columns.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 write_cell(&mut out, col, row);
             }
-            out.push('\n');
+            out.push(b'\n');
         }
-        out
+        // One validation pass over the buffer instead of one per cell.
+        String::from_utf8(out).expect("ASCII digits and punctuation around the frame's own strings")
     }
 
     /// Write CSV to a file path.
@@ -221,10 +228,8 @@ fn infer_column(raw: &[String]) -> Column {
     let mut all_bool = true;
     let mut all_i64 = true;
     let mut all_f64 = true;
-    let mut any_empty = false;
     for s in raw {
         if s.is_empty() {
-            any_empty = true;
             all_bool = false;
             all_i64 = false;
             continue;
@@ -239,7 +244,6 @@ fn infer_column(raw: &[String]) -> Column {
             all_f64 = false;
         }
     }
-    let _ = any_empty;
     if all_bool && !raw.is_empty() {
         Column::Bool(raw.iter().map(|s| s == "true").collect())
     } else if all_i64 && !raw.is_empty() {

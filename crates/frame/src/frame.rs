@@ -3,15 +3,22 @@
 use crate::column::Column;
 use crate::error::{unknown_column, FrameError, FrameResult};
 use crate::value::{DType, Value};
+use std::sync::Arc;
 
 /// An ordered, named collection of equally long [`Column`]s.
 ///
 /// Column order is preserved (pandas-like); lookups by name are `O(n_cols)`
 /// which is fine for the tens of columns typical of HACC property files.
+///
+/// Columns are shared: cloning a frame (or selecting from it) copies names
+/// and reference counts, never cells. The methods that change a column in
+/// place — [`vstack`](Self::vstack), [`drop_column`](Self::drop_column) —
+/// copy it first if another frame still holds it, so no frame ever sees
+/// another's edits.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataFrame {
     names: Vec<String>,
-    columns: Vec<Column>,
+    columns: Vec<Arc<Column>>,
 }
 
 impl DataFrame {
@@ -36,7 +43,7 @@ impl DataFrame {
 
     /// Number of rows (0 for a column-less frame).
     pub fn n_rows(&self) -> usize {
-        self.columns.first().map_or(0, Column::len)
+        self.columns.first().map_or(0, |c| c.len())
     }
 
     /// Number of columns.
@@ -66,6 +73,10 @@ impl DataFrame {
 
     /// Borrow a column by name; errors with a did-you-mean suggestion.
     pub fn column(&self, name: &str) -> FrameResult<&Column> {
+        self.shared_column(name).map(|col| &**col)
+    }
+
+    fn shared_column(&self, name: &str) -> FrameResult<&Arc<Column>> {
         match self.position(name) {
             Some(i) => Ok(&self.columns[i]),
             None => Err(unknown_column(name, self.names.iter().map(String::as_str))),
@@ -77,7 +88,7 @@ impl DataFrame {
         self.names
             .iter()
             .map(String::as_str)
-            .zip(self.columns.iter())
+            .zip(self.columns.iter().map(|c| &**c))
     }
 
     /// `(name, dtype)` schema in column order.
@@ -89,6 +100,10 @@ impl DataFrame {
 
     /// Append a column. Errors on duplicate name or length mismatch.
     pub fn add_column(&mut self, name: String, col: Column) -> FrameResult<()> {
+        self.add_shared(name, Arc::new(col))
+    }
+
+    fn add_shared(&mut self, name: String, col: Arc<Column>) -> FrameResult<()> {
         if self.has_column(&name) {
             return Err(FrameError::DuplicateColumn(name));
         }
@@ -113,7 +128,7 @@ impl DataFrame {
                         got: col.len(),
                     });
                 }
-                self.columns[i] = col;
+                self.columns[i] = Arc::new(col);
                 Ok(())
             }
             None => self.add_column(name.to_string(), col),
@@ -139,7 +154,7 @@ impl DataFrame {
         match self.position(name) {
             Some(i) => {
                 self.names.remove(i);
-                Ok(self.columns.remove(i))
+                Ok(Arc::unwrap_or_clone(self.columns.remove(i)))
             }
             None => Err(unknown_column(name, self.names.iter().map(String::as_str))),
         }
@@ -149,8 +164,8 @@ impl DataFrame {
     pub fn select<S: AsRef<str>>(&self, names: &[S]) -> FrameResult<DataFrame> {
         let mut df = DataFrame::new();
         for n in names {
-            let col = self.column(n.as_ref())?.clone();
-            df.add_column(n.as_ref().to_string(), col)?;
+            let col = self.shared_column(n.as_ref())?.clone();
+            df.add_shared(n.as_ref().to_string(), col)?;
         }
         Ok(df)
     }
@@ -175,7 +190,7 @@ impl DataFrame {
         let mut df = DataFrame::new();
         for (name, col) in self.iter_columns() {
             df.names.push(name.to_string());
-            df.columns.push(col.take(indices));
+            df.columns.push(Arc::new(col.take(indices)));
         }
         df
     }
@@ -185,7 +200,7 @@ impl DataFrame {
         let mut df = DataFrame::new();
         for (name, col) in self.iter_columns() {
             df.names.push(name.to_string());
-            df.columns.push(col.slice(start, end));
+            df.columns.push(Arc::new(col.slice(start, end)));
         }
         df
     }
@@ -214,7 +229,7 @@ impl DataFrame {
             )));
         }
         for (a, b) in self.columns.iter_mut().zip(&other.columns) {
-            a.extend(b)?;
+            Arc::make_mut(a).extend(b)?;
         }
         Ok(())
     }
@@ -231,7 +246,7 @@ impl DataFrame {
 
     /// Approximate heap footprint in bytes.
     pub fn byte_size(&self) -> usize {
-        self.columns.iter().map(Column::byte_size).sum()
+        self.columns.iter().map(|c| c.byte_size()).sum()
     }
 
     /// Render the first `max_rows` rows as an aligned text table
@@ -373,6 +388,44 @@ mod tests {
         let c = df.drop_column("name").unwrap();
         assert_eq!(c.len(), 4);
         assert_eq!(df.n_cols(), 2);
+    }
+
+    /// Clones share their columns; every in-place edit of one must leave
+    /// the other as it was.
+    #[test]
+    fn edits_to_a_clone_leave_the_source_alone() {
+        let source = sample();
+        let untouched = sample();
+
+        let mut clone = source.clone();
+        clone
+            .set_column("mass", Column::from(vec![0.0, 0.0, 0.0, 0.0]))
+            .unwrap();
+        assert_eq!(source, untouched);
+        assert_eq!(clone.cell("mass", 0).unwrap(), Value::F64(0.0));
+
+        let mut clone = source.clone();
+        clone.vstack(&source).unwrap();
+        assert_eq!(clone.n_rows(), 8);
+        assert_eq!(source, untouched);
+
+        let mut clone = source.clone();
+        let dropped = clone.drop_column("id").unwrap();
+        assert_eq!(&dropped, source.column("id").unwrap());
+        assert_eq!(source, untouched);
+
+        // A selection shares too, and is as isolated.
+        let mut picked = source.select(&["name", "mass"]).unwrap();
+        picked
+            .vstack(&source.select(&["name", "mass"]).unwrap())
+            .unwrap();
+        picked.rename("mass", "m").unwrap();
+        assert_eq!(source, untouched);
+        // Nor does an edit of the source reach a clone taken before it.
+        let mut source = source;
+        let before = source.clone();
+        source.vstack(&untouched).unwrap();
+        assert_eq!(before, untouched);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 pub mod column;
 pub mod csv;
+pub mod decimal;
 pub mod error;
 pub mod expr;
 pub mod frame;

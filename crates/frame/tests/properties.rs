@@ -1,7 +1,7 @@
 //! Property-based tests for the dataframe core: invariants that must hold
 //! for arbitrary data, not just hand-picked cases.
 
-use infera_frame::{AggKind, AggSpec, Column, DataFrame, JoinKind, SortOrder};
+use infera_frame::{decimal, AggKind, AggSpec, Column, DataFrame, JoinKind, SortOrder};
 use proptest::prelude::*;
 
 /// Arbitrary small frame: i64 key column, f64 value column (with NaNs),
@@ -299,4 +299,105 @@ fn csv_of_empty_frames_matches_reference() {
     .unwrap();
     assert_eq!(no_rows.to_csv_string(), "\"a,b\",c\n");
     assert_eq!(no_rows.to_csv_string(), reference_csv(&no_rows));
+}
+
+// ----------------------------------------------------------- decimal kernel
+
+fn kernel_f64(v: f64) -> String {
+    let mut out = Vec::new();
+    decimal::push_f64(&mut out, v);
+    String::from_utf8(out).expect("digits")
+}
+
+/// The floats `arb_csv_f64` is thin on, weighted towards what the store
+/// actually renders.
+fn arb_kernel_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        // The production distribution: f32 columns widened to f64 — any
+        // magnitude, and the range halo positions and velocities live in.
+        6 => any::<f32>().prop_map(f64::from),
+        4 => (-1.0e4f32..1.0e4).prop_map(f64::from),
+        // Where exact ties between two shortest candidates come from: an
+        // odd 24-bit mantissa × 2^-n has n fractional digits, the last a 5.
+        4 => (0u32..1 << 23, 0i32..80).prop_map(|(m, n)| f64::from(2 * m + 1) * 2f64.powi(-n)),
+        // The first and last two mantissas of every binary exponent (the
+        // first has the narrow interval below it), subnormals included.
+        3 => (0u64..2047, 0usize..4, any::<bool>()).prop_map(|(exponent, which, negative)| {
+            let mantissa = [0, 1, (1 << 52) - 2, (1 << 52) - 1][which];
+            f64::from_bits((u64::from(negative) << 63) | (exponent << 52) | mantissa)
+        }),
+        // Powers of ten and their neighbours.
+        3 => (-323i32..309, -1i64..2).prop_map(|(power, ulps)| {
+            let exact: f64 = format!("1e{power}").parse().expect("a float");
+            f64::from_bits((exact.to_bits() as i64 + ulps) as u64)
+        }),
+        2 => any::<f64>(),
+        2 => any::<u64>().prop_map(f64::from_bits),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3000))]
+
+    /// The kernel prints what `{}` prints, for every float.
+    #[test]
+    fn kernel_floats_match_std(v in arb_kernel_f64()) {
+        prop_assert_eq!(kernel_f64(v), format!("{v}"), "bits {:#018x}", v.to_bits());
+        prop_assert_eq!(kernel_f64(-v), format!("{}", -v), "bits {:#018x}", (-v).to_bits());
+    }
+
+    /// Inside its domain the digits read back as the value and carry no
+    /// trailing zero; outside it there are none, and `push_f64` went
+    /// through `{}` (covered by the equality above).
+    #[test]
+    fn kernel_digits_read_back(v in arb_kernel_f64()) {
+        match decimal::shortest_decimal(v) {
+            Some((digits, exp10)) => {
+                prop_assert!(v.is_normal());
+                prop_assert!(digits % 10 != 0 && digits < 100_000_000_000_000_000);
+                let back: f64 = format!("{digits}e{exp10}").parse().expect("a float");
+                prop_assert_eq!(back.to_bits(), v.abs().to_bits());
+            }
+            None => prop_assert!(!v.is_normal()),
+        }
+    }
+
+    #[test]
+    fn kernel_ints_match_std(
+        i in prop_oneof![
+            6 => any::<i64>(),
+            3 => any::<i64>().prop_map(|v| v >> 40),
+            2 => -1000i64..1000,
+            1 => Just(i64::MIN),
+            1 => Just(i64::MAX),
+        ],
+        shift in 0u32..64,
+    ) {
+        for v in [i, i >> shift] {
+            let mut out = Vec::new();
+            decimal::push_i64(&mut out, v);
+            prop_assert_eq!(String::from_utf8(out).expect("digits"), format!("{v}"));
+        }
+    }
+}
+
+/// Every f32 of one binade, widened: 2^23 consecutive mantissas, so no
+/// rounding case of the production distribution hides between samples.
+/// [512, 1024) because it is the binade of exact ties: an odd mantissa
+/// there is a multiple of 2^-14 with 14 fractional digits, the last a 5,
+/// and a double that size resolves 13 — so each of the 2^22 odd mantissas
+/// sits exactly halfway between its two 16-digit candidates, and
+/// round-half-even would print half of them differently from std.
+#[test]
+fn kernel_matches_std_on_every_f32_of_a_binade() {
+    use std::fmt::Write as _;
+    let (mut kernel, mut std_text) = (Vec::new(), String::new());
+    for mantissa in 0..1u32 << 23 {
+        let v = f64::from(f32::from_bits(512f32.to_bits() | mantissa));
+        kernel.clear();
+        std_text.clear();
+        decimal::push_f64(&mut kernel, v);
+        write!(std_text, "{v}").expect("a String");
+        assert_eq!(kernel, std_text.as_bytes(), "mantissa {mantissa:#x}: {v:?}");
+    }
 }

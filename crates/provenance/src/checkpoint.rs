@@ -222,6 +222,57 @@ mod tests {
         assert!(!dir.join("checkpoints.json.tmp").exists());
     }
 
+    /// Artifact ids are opaque on read: a store whose artifacts carry the
+    /// names an older build gave them (FNV-1a over every byte) is served
+    /// as it stands.
+    #[test]
+    fn a_store_with_older_artifact_names_still_loads() {
+        let dir = tmp("oldnames");
+        let id = {
+            let store = ProvenanceStore::create(&dir).unwrap();
+            save_checkpoint(&store, "old", None, &env(1.0), "{\"step\":1}").unwrap()
+        };
+        let index_path = dir.join("checkpoints.json");
+        let mut index = std::fs::read_to_string(&index_path).unwrap();
+        let mut renamed = 0;
+        for entry in std::fs::read_dir(dir.join("artifacts")).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_str().unwrap().to_string();
+            let fnv1a = std::fs::read(&path)
+                .unwrap()
+                .iter()
+                .fold(0xcbf29ce484222325u64, |h, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+                });
+            let old = format!("{fnv1a:016x}.csv");
+            assert_ne!(old, name, "the names did change");
+            std::fs::rename(&path, path.with_file_name(&old)).unwrap();
+            index = index.replace(&name, &old);
+            renamed += 1;
+        }
+        assert_eq!(renamed, 1);
+        std::fs::write(&index_path, index).unwrap();
+
+        let store = ProvenanceStore::create(&dir).unwrap();
+        let (loaded, state) = load_checkpoint(&store, id).unwrap();
+        assert_eq!(loaded["halos"], env(1.0)["halos"]);
+        assert_eq!(state, "{\"step\":1}");
+        let record = &list_checkpoints(&store).unwrap()[0];
+        assert_eq!(
+            store.get_frame(&record.frames[0].1).unwrap(),
+            env(1.0)["halos"]
+        );
+        // A new checkpoint on top of it names its frames the new way.
+        let next = save_checkpoint(&store, "new", Some(id), &env(1.0), "{}").unwrap();
+        assert_eq!(lineage(&store, next).unwrap(), vec![id, next]);
+        let list = list_checkpoints(&store).unwrap();
+        assert_ne!(list[1].frames[0].1, list[0].frames[0].1);
+        assert_eq!(
+            load_checkpoint(&store, next).unwrap().0["halos"],
+            env(1.0)["halos"]
+        );
+    }
+
     #[test]
     fn checkpoint_logs_event() {
         let store = ProvenanceStore::create(&tmp("logsevent")).unwrap();

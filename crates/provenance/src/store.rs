@@ -81,11 +81,28 @@ impl fmt::Display for ArtifactId {
     }
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
+/// The hash that names an artifact. Eight bytes a step: the little-endian
+/// word is xored into the state and the state folded through one
+/// 64×64→128-bit multiply (low half xor high half, so a change in any bit
+/// of the word reaches every bit of the state); the last ≤ 7 bytes go in
+/// FNV-1a style, one by one. Names written by earlier builds hashed every
+/// byte that way; they differ from these, and stay readable — an id is
+/// looked up as the file name it is, never recomputed.
+fn content_hash(bytes: &[u8]) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+    const FNV_PRIME: u64 = 0x100000001b3;
+    /// 2^64 / φ, odd.
+    const WORD_MULTIPLIER: u64 = 0x9e3779b97f4a7c15;
+    let mut h = FNV_OFFSET;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks of eight"));
+        let product = u128::from(h ^ word) * u128::from(WORD_MULTIPLIER);
+        h = product as u64 ^ (product >> 64) as u64;
+    }
+    for &b in words.remainder() {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -216,7 +233,7 @@ impl ProvenanceStore {
     }
 
     fn put_bytes(&self, kind: ArtifactKind, bytes: &[u8]) -> ProvResult<ArtifactId> {
-        let id = ArtifactId(format!("{:016x}.{}", fnv64(bytes), kind.extension()));
+        let id = ArtifactId(format!("{:016x}.{}", content_hash(bytes), kind.extension()));
         let path = self.artifact_path(&id);
         // Identical content dedupes against the stored file — unless that
         // file is shorter than the content its name claims (an in-place
@@ -390,6 +407,57 @@ mod tests {
             .put_text(ArtifactKind::Program, "x = head(df, 5)")
             .unwrap();
         assert_eq!(store.get_text(&code).unwrap(), "x = head(df, 5)");
+    }
+
+    /// An id is a function of the bytes alone: the same from any handle,
+    /// any directory, any process (the pinned one was computed once and
+    /// must never move — stored trails name their artifacts by it).
+    #[test]
+    fn ids_depend_on_content_only() {
+        let a = ProvenanceStore::create(&tmp("ids_a")).unwrap();
+        let b = ProvenanceStore::create(&tmp("ids_b")).unwrap();
+        let text = "SELECT fof_halo_tag, fof_halo_mass FROM halos WHERE step = 624";
+        let id = a.put_text(ArtifactKind::Sql, text).unwrap();
+        assert_eq!(b.put_text(ArtifactKind::Sql, text).unwrap(), id);
+        assert_eq!(a.put_text(ArtifactKind::Sql, text).unwrap(), id);
+        assert_eq!(id.0, "6b851f1b1ad0ebe4.sql");
+        assert_eq!(
+            a.put_frame(&frame()).unwrap(),
+            b.put_frame(&frame()).unwrap()
+        );
+        // The kind is part of the name, not of the hash.
+        let as_text = a.put_text(ArtifactKind::Text, text).unwrap();
+        assert_eq!(as_text.0.split('.').next(), id.0.split('.').next());
+    }
+
+    /// Whole words and the byte tail both count, and so does length:
+    /// inputs that differ in one tail byte, in one byte of one word, or
+    /// only by trailing NULs get different names.
+    #[test]
+    fn ids_tell_tails_words_and_lengths_apart() {
+        let base: Vec<u8> = (0..64u8).map(|i| b'a' + i % 26).collect();
+        let mut seen = std::collections::HashSet::new();
+        // Every prefix (tails of 0 to 7 bytes after 0 to 8 words) …
+        for len in 0..=base.len() {
+            assert!(seen.insert(content_hash(&base[..len])), "prefix of {len}");
+        }
+        // … every single-byte edit of the longest tail and of a whole word …
+        for at in (0..8).chain(56..63) {
+            let mut edited = base[..63].to_vec();
+            edited[at] ^= 0x01;
+            assert!(seen.insert(content_hash(&edited)), "edit at {at}");
+            edited[at] ^= 0x81;
+            assert!(seen.insert(content_hash(&edited)), "high-bit edit at {at}");
+        }
+        // … and zero padding of every length up to two words.
+        let mut padded = base.clone();
+        for extra in 1..=16 {
+            padded.push(0);
+            assert!(seen.insert(content_hash(&padded)), "{extra} trailing NULs");
+        }
+        for zeros in 1..=16 {
+            assert!(seen.insert(content_hash(&vec![0u8; zeros])), "{zeros} NULs");
+        }
     }
 
     #[test]

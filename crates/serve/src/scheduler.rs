@@ -332,9 +332,15 @@ impl Scheduler {
             admitted: Instant::now(),
             slot: slot.clone(),
         };
+        // Held from the enqueue until `job_queued` is on the bus: the
+        // worker that dequeues this job passes through the same lock before
+        // it touches the job, so `job_started` cannot overtake `job_queued`,
+        // the queue gauge is raised before it is lowered, and the cancel
+        // handle is registered before the worker can retire it.
+        let mut inflight = self.shared.inflight.lock();
         match tx.try_send(job) {
             Ok(()) => {
-                self.shared.inflight.lock().insert(id, cancel.clone());
+                inflight.insert(id, cancel.clone());
                 self.shared.queue_depth.fetch_add(1, Ordering::Relaxed);
                 self.shared.sync_queue_gauge();
                 self.shared.metrics.inc(metric_names::JOBS_ACCEPTED, 1);
@@ -561,6 +567,9 @@ fn worker_loop(
                 }
             }
         };
+        // The submitter holds `inflight` until the job is counted and
+        // `job_queued` published; nothing about the job happens before.
+        drop(shared.inflight.lock());
         shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
         shared.sync_queue_gauge();
         // Panic isolation: a panicking workflow fails its own job with a
@@ -940,15 +949,45 @@ mod tests {
             "event stream is scoped to the submitted job"
         );
         // The stream opens at admission and ends with a terminal event.
-        let names: Vec<&str> = got
+        let names = job_event_names(&got);
+        assert_eq!(names.first(), Some(&event_names::JOB_QUEUED));
+        assert_eq!(names.last(), Some(&event_names::JOB_COMPLETED));
+        sched.shutdown();
+    }
+
+    fn job_event_names(events: &[infera_obs::BusEvent]) -> Vec<&str> {
+        events
             .iter()
             .filter_map(|ev| match &ev.kind {
                 infera_obs::BusEventKind::Job { name, .. } => Some(name.as_str()),
                 _ => None,
             })
-            .collect();
-        assert_eq!(names.first(), Some(&event_names::JOB_QUEUED));
-        assert_eq!(names.last(), Some(&event_names::JOB_COMPLETED));
+            .collect()
+    }
+
+    /// `job_queued` precedes `job_started` by construction, not by luck:
+    /// two idle workers race the submitter for every one of 300 jobs.
+    #[test]
+    fn job_queued_always_precedes_job_started() {
+        let sched = Scheduler::new(session("queued_first"), ServeConfig::with_pool(2, 8));
+        for round in 0..300 {
+            // One salt throughout: after the first round the result cache
+            // answers, so a round is the lifecycle and little else.
+            let mut handle = sched.submit_streaming(JobSpec::new(Q, 12), 4096).unwrap();
+            assert!(handle.wait().report().is_some());
+            let events = handle.take_events().expect("streaming submit has events");
+            let got = events.drain();
+            let names = job_event_names(&got);
+            let at = |wanted: &str| names.iter().position(|n| *n == wanted);
+            let queued_then_started =
+                at(event_names::JOB_QUEUED) == Some(0) && at(event_names::JOB_STARTED) > Some(0);
+            assert!(queued_then_started, "round {round}: {names:?}");
+        }
+        // A rejected job publishes `job_rejected` and nothing else.
+        let all = sched.bus().subscribe(64);
+        sched.begin_shutdown();
+        assert!(sched.submit(JobSpec::new(Q, 13)).is_err());
+        assert_eq!(job_event_names(&all.drain()), [event_names::JOB_REJECTED]);
         sched.shutdown();
     }
 

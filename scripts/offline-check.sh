@@ -181,6 +181,10 @@ done
 # frame) stands in for a timing gate this host cannot hold: it must run.
 [[ " ${TEST_BINS[*]} " == *" $OUT/it_root_write_path_counts "* ]] \
     || fail "tests/write_path_counts.rs (write-path count gate) is missing"
+# So must the identity gate on the CSV number kernel: artifact bytes are a
+# contract, and it is what holds the kernel's to std's.
+[[ " ${TEST_BINS[*]} " == *" $OUT/it_root_csv_kernel_identity "* ]] \
+    || fail "tests/csv_kernel_identity.rs (CSV kernel identity gate) is missing"
 
 # The benchmark crate (not in CRATES) builds itself, optimized, into
 # target/benchmark-offline: its integration test above gets the binary from

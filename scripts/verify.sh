@@ -59,6 +59,11 @@ echo "==> write-path count gate (one meta flush per load, one CSV render per fra
 # stored frame again fails here.
 cargo test -q --test write_path_counts
 
+echo "==> CSV kernel identity gate (number formatting byte-identical to std)"
+# Artifact bytes are a contract (ids, digests, store_bytes_per_answer): the
+# shortest-float kernel is held to format! on a fixed 200k-value mix.
+cargo test -q --test csv_kernel_identity
+
 if [ "$run_bench" -eq 1 ]; then
     echo "==> microbench --smoke (with throughput regression gate)"
     smoke_out="$(mktemp -t bench_columnar_smoke.XXXXXX.json)"
