@@ -34,7 +34,7 @@ pub use context::{
     metadata_index, AgentContext, CancelToken, ContextPolicy, QaMode, RunConfig,
 };
 pub use error::{AgentError, AgentResult, CancelKind};
-pub use shared_cache::{CachedBatch, LoadKey, SharedEnsembleCache};
+pub use shared_cache::{BoundedCache, CachedBatch, LoadKey, SharedEnsembleCache};
 pub use graph::{NodeOutcome, StateGraph, END};
 pub use intent::{parse_intent, Goal, Intent, TrendDim};
 pub use planner::{compile_plan, plan_question};

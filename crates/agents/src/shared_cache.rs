@@ -19,6 +19,7 @@
 use infera_frame::DataFrame;
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -45,22 +46,24 @@ pub struct CachedBatch {
     pub file_bytes: u64,
 }
 
-/// Process-wide cache of decoded ensemble batches, shared across all
-/// concurrent runs of one session.
-#[derive(Debug, Default)]
-pub struct SharedEnsembleCache {
-    entries: RwLock<HashMap<LoadKey, CachedBatch>>,
-    /// Entry cap: inserts beyond it are skipped (the cache is an
-    /// optimization; correctness never depends on a hit).
+/// A bounded concurrent map with hit/miss counters: the body every cache
+/// in the workspace shares. Read-mostly — a lookup takes the read lock,
+/// only an insert takes the write lock. At capacity new keys are dropped
+/// and a racing duplicate insert keeps the first value (first-landed
+/// wins: what is cached stays valid, and correctness never depends on a
+/// hit).
+#[derive(Debug)]
+pub struct BoundedCache<K, V> {
+    entries: RwLock<HashMap<K, V>>,
     max_entries: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl SharedEnsembleCache {
-    /// Cache bounded at `max_entries` distinct selections.
-    pub fn new(max_entries: usize) -> SharedEnsembleCache {
-        SharedEnsembleCache {
+impl<K: Eq + Hash, V: Clone> BoundedCache<K, V> {
+    /// Cache bounded at `max_entries` distinct keys.
+    pub fn new(max_entries: usize) -> BoundedCache<K, V> {
+        BoundedCache {
             entries: RwLock::new(HashMap::new()),
             max_entries,
             hits: AtomicU64::new(0),
@@ -68,8 +71,8 @@ impl SharedEnsembleCache {
         }
     }
 
-    /// Look up a cached batch.
-    pub fn get(&self, key: &LoadKey) -> Option<CachedBatch> {
+    /// Look up a value, counting the hit or miss.
+    pub fn get(&self, key: &K) -> Option<V> {
         let found = self.entries.read().get(key).cloned();
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -78,17 +81,25 @@ impl SharedEnsembleCache {
         found
     }
 
-    /// Insert a freshly decoded batch (no-op once the cap is reached; a
-    /// racing duplicate insert keeps the first value).
-    pub fn insert(&self, key: LoadKey, batch: CachedBatch) {
+    /// Insert a value (no-op for a new key once the cap is reached, and
+    /// for a key already present).
+    pub fn insert(&self, key: K, value: V) {
         let mut entries = self.entries.write();
         if entries.len() >= self.max_entries && !entries.contains_key(&key) {
             return;
         }
-        entries.entry(key).or_insert(batch);
+        entries.entry(key).or_insert(value);
     }
 
-    /// Number of cached selections.
+    /// Drop every entry; returns whether there were any.
+    pub fn clear(&self) -> bool {
+        let mut entries = self.entries.write();
+        let dropped = !entries.is_empty();
+        entries.clear();
+        dropped
+    }
+
+    /// Number of cached entries.
     pub fn len(&self) -> usize {
         self.entries.read().len()
     }
@@ -108,6 +119,10 @@ impl SharedEnsembleCache {
         self.misses.load(Ordering::Relaxed)
     }
 }
+
+/// Process-wide cache of decoded ensemble batches, shared across all
+/// concurrent runs of one session.
+pub type SharedEnsembleCache = BoundedCache<LoadKey, CachedBatch>;
 
 #[cfg(test)]
 mod tests {

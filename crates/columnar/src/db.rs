@@ -25,10 +25,6 @@ pub struct Database {
     /// Per-chunk compression on appends (disable to write the raw v1
     /// chunk layout — the benchmark baseline).
     pub compress: bool,
-    /// Upper bound on morsel workers for queries against this database
-    /// (`None` = hardware parallelism). Shard workers set this so N
-    /// co-resident shards don't oversubscribe one machine.
-    pub worker_cap: Option<usize>,
     obs: infera_obs::Obs,
 }
 
@@ -42,7 +38,6 @@ impl Database {
             tables: RwLock::new(HashMap::new()),
             chunk_rows: DEFAULT_CHUNK_ROWS,
             compress: true,
-            worker_cap: None,
             obs: infera_obs::Obs::default(),
         };
         db.load_existing()?;

@@ -26,7 +26,6 @@ pub use db::Database;
 pub use encoding::Encoding;
 pub use error::{DbError, DbResult};
 pub use sql::exec::{ExecOutcome, ExecStats};
-pub use sql::fragment::{
-    FragmentMode, FragmentOutput, PlanFragment, WirePayload, WIRE_VERSION,
-};
+pub use sql::fragment::{FragmentMode, PlanFragment};
+pub use sql::morsel::PartialRun;
 pub use storage::{StrZoneMap, TableStore, ZoneMap, DEFAULT_CHUNK_ROWS, FORMAT_VERSION};

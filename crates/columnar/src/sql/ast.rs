@@ -105,7 +105,7 @@ pub struct JoinClause {
 }
 
 /// Supported join types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub enum JoinType {
     Inner,
     Left,

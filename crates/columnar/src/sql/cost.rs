@@ -67,7 +67,7 @@ impl Stats for Database {
 }
 
 /// Estimated output of one plan node.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct NodeEst {
     pub rows: u64,
     pub bytes: u64,

@@ -10,6 +10,8 @@
 //! fast paths.
 
 use super::ast::{JoinType, SelectStmt, Statement};
+use super::morsel::MorselRun;
+use super::physical::{ExplainActuals, PhysicalPlan};
 use super::plan::{resolve, AggItem, QueryShape};
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
@@ -23,7 +25,7 @@ use std::collections::HashMap;
 
 /// Execution statistics, reported for provenance and the efficiency
 /// benches.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     pub chunks_total: usize,
     pub chunks_skipped: usize,
@@ -76,7 +78,7 @@ pub fn execute(db: &Database, stmt: &Statement) -> DbResult<ExecOutcome> {
 }
 
 /// Resolve and cost-optimize a SELECT into its physical plan.
-fn plan_select(db: &Database, sel: &SelectStmt) -> DbResult<super::physical::PhysicalPlan> {
+fn plan_select(db: &Database, sel: &SelectStmt) -> DbResult<PhysicalPlan> {
     let span = db.obs().tracer.span("sql:plan");
     let resolved = match resolve(sel, db) {
         Ok(r) => r,
@@ -104,44 +106,36 @@ fn plan_select(db: &Database, sel: &SelectStmt) -> DbResult<super::physical::Phy
     Ok(plan)
 }
 
-/// Execute a SELECT through the optimizer and morsel executor.
-pub fn run_select(db: &Database, sel: &SelectStmt) -> DbResult<(DataFrame, ExecStats)> {
-    let plan = plan_select(db, sel)?;
+/// Execute a planned SELECT on `db`: the morsel executor under a
+/// `sql:exec` span, with `rows_output` filled in. Every caller that holds
+/// a plan — [`run_select`], [`explain_select`], a shard set answering from
+/// one shard — runs it through here.
+pub fn run_plan(db: &Database, plan: &PhysicalPlan) -> DbResult<MorselRun> {
     let exec_span = db.obs().tracer.span("sql:exec");
-    let mut stats = ExecStats::default();
-    let run = super::morsel::execute(db, &plan, &mut stats)?;
-    let out = post_steps(
-        run.frame,
-        plan.having.as_ref(),
-        plan.distinct,
-        &plan.order_by,
-        plan.limit,
-    )?;
-    stats.rows_output = out.n_rows() as u64;
+    let mut run = super::morsel::execute(db, plan)?;
+    let stats = &mut run.stats;
+    stats.rows_output = run.frame.n_rows() as u64;
     exec_span.set_attr("rows_output", stats.rows_output);
     exec_span.set_attr("rows_scanned", stats.rows_scanned);
     exec_span.set_attr("chunks_total", stats.chunks_total);
     exec_span.set_attr("chunks_skipped", stats.chunks_skipped);
     exec_span.set_attr("rows_pruned", stats.rows_pruned);
-    Ok((out, stats))
+    Ok(run)
+}
+
+/// Execute a SELECT through the optimizer and morsel executor.
+pub fn run_select(db: &Database, sel: &SelectStmt) -> DbResult<(DataFrame, ExecStats)> {
+    let run = run_plan(db, &plan_select(db, sel)?)?;
+    Ok((run.frame, run.stats))
 }
 
 /// EXPLAIN: optimize, execute, and render the physical plan tree with
 /// per-node estimates and the observed execution counters.
 pub fn explain_select(db: &Database, sel: &SelectStmt) -> DbResult<String> {
     let plan = plan_select(db, sel)?;
-    let mut stats = ExecStats::default();
-    let run = super::morsel::execute(db, &plan, &mut stats)?;
-    let out = post_steps(
-        run.frame,
-        plan.having.as_ref(),
-        plan.distinct,
-        &plan.order_by,
-        plan.limit,
-    )?;
-    stats.rows_output = out.n_rows() as u64;
-    let actuals = super::physical::ExplainActuals {
-        stats,
+    let run = run_plan(db, &plan)?;
+    let actuals = ExplainActuals {
+        stats: run.stats,
         morsels: run.morsels,
         workers: run.workers,
     };
@@ -235,23 +229,11 @@ pub(crate) fn run_select_naive(db: &Database, sel: &SelectStmt) -> DbResult<Data
             o
         }
         QueryShape::Aggregate { keys, aggs } => {
-            let needs_values: Vec<bool> =
-                aggs.iter().map(|a| a.kind == AggKind::Median).collect();
-            let partial = chunk_partial(&frame, keys, aggs, &needs_values)?;
-            let (mut order, mut groups) = merge_partials(vec![Ok(partial)])?;
-            if keys.is_empty() && order.is_empty() {
-                order.push(GroupKey::new());
-                groups.insert(
-                    GroupKey::new(),
-                    (
-                        Vec::new(),
-                        needs_values.iter().map(|&kv| Accum::new(kv)).collect(),
-                    ),
-                );
+            let mut groups = chunk_partial(&frame, keys, aggs)?;
+            if keys.is_empty() && groups.is_empty() {
+                groups.push(PartialGroup::zero_rows(aggs));
             }
-            assemble_groups(keys, aggs, &order, &groups, |ki| {
-                Ok(keys[ki].1.eval(&frame)?.dtype())
-            })?
+            assemble_groups(keys, aggs, &groups, || Ok(frame.clone()))?
         }
     };
     post_steps(
@@ -265,6 +247,16 @@ pub(crate) fn run_select_naive(db: &Database, sel: &SelectStmt) -> DbResult<Data
 
 pub(crate) fn to_refs(v: &[String]) -> Vec<&str> {
     v.iter().map(String::as_str).collect()
+}
+
+/// Evaluate a projection's `(output name, expression)` items over `frame`.
+pub(crate) fn project(items: &[(String, Expr)], frame: &DataFrame) -> DbResult<DataFrame> {
+    let mut out = DataFrame::new();
+    for (name, expr) in items {
+        out.add_column(name.clone(), expr.eval(frame)?)
+            .map_err(DbError::from)?;
+    }
+    Ok(out)
 }
 
 /// Streaming accumulator for one (group, aggregate) cell.
@@ -437,7 +429,68 @@ pub(crate) enum KeyToken {
 }
 
 pub(crate) type GroupKey = Vec<KeyToken>;
-pub(crate) type GroupMap = HashMap<GroupKey, (Vec<Value>, Vec<Accum>)>;
+
+/// One group of a partial aggregation: its key, the key's representative
+/// values, one pre-finalize accumulator per aggregate, and the position
+/// of its first row within the producing scan — what orders groups when
+/// partials from several morsels, workers or shards merge.
+pub(crate) struct PartialGroup {
+    pub(crate) key: GroupKey,
+    pub(crate) vals: Vec<Value>,
+    pub(crate) accums: Vec<Accum>,
+    pub(crate) first_pos: u64,
+}
+
+impl PartialGroup {
+    /// The one group a whole-table aggregate yields over zero rows.
+    pub(crate) fn zero_rows(aggs: &[AggItem]) -> PartialGroup {
+        PartialGroup {
+            key: GroupKey::new(),
+            vals: Vec::new(),
+            accums: new_accums(aggs),
+            first_pos: 0,
+        }
+    }
+}
+
+pub(crate) fn new_accums(aggs: &[AggItem]) -> Vec<Accum> {
+    aggs.iter()
+        .map(|a| Accum::new(a.kind == AggKind::Median))
+        .collect()
+}
+
+/// Merge of partial groups in visiting order: a key's first occurrence
+/// fixes its place, representative values and `first_pos`; every later
+/// one folds in through [`Accum::merge`]. Visiting groups in first-row
+/// order therefore reproduces a sequential scan's first-seen group order
+/// and accumulator states.
+#[derive(Default)]
+pub(crate) struct GroupMerger {
+    groups: Vec<PartialGroup>,
+    index: HashMap<GroupKey, u32>,
+}
+
+impl GroupMerger {
+    pub(crate) fn push(&mut self, g: PartialGroup) {
+        match self.index.get(&g.key) {
+            Some(&i) => {
+                let existing = &mut self.groups[i as usize];
+                for (x, a) in existing.accums.iter_mut().zip(&g.accums) {
+                    x.merge(a);
+                }
+            }
+            None => {
+                self.index.insert(g.key.clone(), self.groups.len() as u32);
+                self.groups.push(g);
+            }
+        }
+    }
+
+    /// The merged groups, in first-occurrence order.
+    pub(crate) fn finish(self) -> Vec<PartialGroup> {
+        self.groups
+    }
+}
 
 pub(crate) fn key_token(col: &Column, row: usize) -> KeyToken {
     match col {
@@ -446,14 +499,6 @@ pub(crate) fn key_token(col: &Column, row: usize) -> KeyToken {
             encode_value(&other.get(row), SQL_GROUP_MODE).expect("non-string key encodes"),
         ),
     }
-}
-
-/// Per-chunk partial aggregation state.
-pub(crate) struct Partial {
-    /// Insertion-ordered group keys.
-    pub(crate) order: Vec<GroupKey>,
-    /// key -> (representative key values, per-agg accumulators).
-    pub(crate) groups: GroupMap,
 }
 
 /// Evaluated aggregate arguments for one chunk.
@@ -490,34 +535,28 @@ pub(crate) fn push_row(accums: &mut [Accum], arg_data: &[ArgData], row: usize) {
     }
 }
 
-/// Aggregate one chunk into a [`Partial`]: typed row grouping via
+/// Aggregate one chunk into its groups in first-seen row order
+/// (`first_pos` is the group's index): typed row grouping via
 /// [`RowGrouper`] (no per-row boxed values or key strings), then exact
 /// accumulator fills per group in ascending row order.
 pub(crate) fn chunk_partial(
     chunk: &DataFrame,
     keys: &[(String, Expr)],
     aggs: &[AggItem],
-    needs_values: &[bool],
-) -> DbResult<Partial> {
+) -> DbResult<Vec<PartialGroup>> {
     let n = chunk.n_rows();
     let arg_data = eval_arg_data(chunk, aggs)?;
-    let new_accums = || -> Vec<Accum> { needs_values.iter().map(|&kv| Accum::new(kv)).collect() };
-    let mut p = Partial {
-        order: Vec::new(),
-        groups: HashMap::new(),
-    };
     if keys.is_empty() {
         // Whole-table aggregate: one global group (none for empty chunks;
         // the zero-row case is synthesized after the merge).
-        if n > 0 {
-            let mut accums = new_accums();
-            for row in 0..n {
-                push_row(&mut accums, &arg_data, row);
-            }
-            p.order.push(GroupKey::new());
-            p.groups.insert(GroupKey::new(), (Vec::new(), accums));
+        if n == 0 {
+            return Ok(Vec::new());
         }
-        return Ok(p);
+        let mut g = PartialGroup::zero_rows(aggs);
+        for row in 0..n {
+            push_row(&mut g.accums, &arg_data, row);
+        }
+        return Ok(vec![g]);
     }
     // Evaluate key expressions once per chunk, then group rows through
     // the typed key-extraction layer.
@@ -530,76 +569,55 @@ pub(crate) fn chunk_partial(
         .map(|c| KeyCol::extract(c, SQL_GROUP_MODE))
         .collect();
     let groups = RowGrouper::new(extracted).group();
-    p.order.reserve(groups.len());
-    p.groups.reserve(groups.len());
-    for g in groups {
+    let mut out = Vec::with_capacity(groups.len());
+    for (seq, g) in groups.into_iter().enumerate() {
         let rep = g.rep as usize;
-        let key: GroupKey = key_cols.iter().map(|c| key_token(c, rep)).collect();
-        let vals: Vec<Value> = key_cols.iter().map(|c| c.get(rep)).collect();
-        let mut accums = new_accums();
+        let mut accums = new_accums(aggs);
         for &r in &g.rows {
             push_row(&mut accums, &arg_data, r as usize);
         }
-        p.order.push(key.clone());
-        p.groups.insert(key, (vals, accums));
+        out.push(PartialGroup {
+            key: key_cols.iter().map(|c| key_token(c, rep)).collect(),
+            vals: key_cols.iter().map(|c| c.get(rep)).collect(),
+            accums,
+            first_pos: seq as u64,
+        });
     }
-    Ok(p)
+    Ok(out)
 }
 
-/// Merge per-chunk partials in chunk order for deterministic first-seen
-/// group ordering.
-pub(crate) fn merge_partials(
-    partials: Vec<DbResult<Partial>>,
-) -> DbResult<(Vec<GroupKey>, GroupMap)> {
-    let mut order: Vec<GroupKey> = Vec::new();
-    let mut groups: GroupMap = HashMap::new();
-    for p in partials {
-        let p = p?;
-        for key in p.order {
-            let (vals, accums) = &p.groups[&key];
-            match groups.get_mut(&key) {
-                Some((_, existing)) => {
-                    for (e, a) in existing.iter_mut().zip(accums) {
-                        e.merge(a);
-                    }
-                }
-                None => {
-                    order.push(key.clone());
-                    groups.insert(key, (vals.clone(), accums.clone()));
-                }
-            }
-        }
-    }
-    Ok((order, groups))
-}
-
-/// Assemble the output frame from merged groups. `key_dtype_fallback`
-/// supplies key column dtypes when zero groups survive (zone maps can
-/// skip every chunk), so a grouped aggregate never indexes into an
-/// empty group table.
+/// Assemble the output frame from merged groups. `empty_input` supplies
+/// a zero-row frame with the aggregation's input schema: key expressions
+/// are evaluated over it for their dtypes when no group survives (zone
+/// maps can skip every chunk), so a grouped aggregate never indexes into
+/// an empty group table.
 pub(crate) fn assemble_groups(
     keys: &[(String, Expr)],
     aggs: &[AggItem],
-    order: &[GroupKey],
-    groups: &GroupMap,
-    key_dtype_fallback: impl Fn(usize) -> DbResult<DType>,
+    groups: &[PartialGroup],
+    empty_input: impl FnOnce() -> DbResult<DataFrame>,
 ) -> DbResult<DataFrame> {
     let mut out = DataFrame::new();
+    let key_dtypes: Vec<DType> = match groups.first() {
+        Some(g0) => g0.vals.iter().map(Value::dtype).collect(),
+        None => {
+            let empty = empty_input()?;
+            keys.iter()
+                .map(|(_, e)| Ok(e.eval(&empty)?.dtype()))
+                .collect::<DbResult<_>>()?
+        }
+    };
     for (ki, (kname, _)) in keys.iter().enumerate() {
-        let dtype = match order.first() {
-            Some(k0) => groups[k0].0[ki].dtype(),
-            None => key_dtype_fallback(ki)?,
-        };
-        let mut col = Column::empty(dtype);
-        for key in order {
-            col.push(groups[key].0[ki].clone()).map_err(DbError::from)?;
+        let mut col = Column::empty(key_dtypes[ki]);
+        for g in groups {
+            col.push(g.vals[ki].clone()).map_err(DbError::from)?;
         }
         out.add_column(kname.clone(), col).map_err(DbError::from)?;
     }
     for (ai, item) in aggs.iter().enumerate() {
-        let vals: Vec<f64> = order
+        let vals: Vec<f64> = groups
             .iter()
-            .map(|k| groups[k].1[ai].finalize(item.kind))
+            .map(|g| g.accums[ai].finalize(item.kind))
             .collect();
         let col = if item.kind == AggKind::Count {
             Column::I64(vals.iter().map(|&v| v as i64).collect())

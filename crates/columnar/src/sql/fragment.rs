@@ -1,49 +1,40 @@
-//! Plan fragments: serializable units of scatter-gather execution.
+//! Partial → combine: the one executor contract.
 //!
-//! A [`PlanFragment`] is a physical plan packaged for execution on a
-//! partition-local worker: the pre-aggregation rewrite is stripped (its
-//! multiplicity merge discards the first-row positions the combiner
-//! orders by), and the post-pipeline steps (HAVING / DISTINCT /
-//! ORDER BY / LIMIT) are deferred to the combiner — except a bare LIMIT
-//! with no ORDER BY/DISTINCT, which each shard may apply locally since
+//! A plan runs as one [`PartialRun`] per source
+//! ([`super::morsel::execute_partial`]) followed by one [`combine`] over
+//! the runs in source order. A single database is one source; a shard
+//! set is one source per shard, each running a [`PlanFragment`]: the
+//! plan with the pre-aggregation rewrite stripped (every shard folds its
+//! joined rows in row order, which is what the determinism argument on
+//! [`combine`] is stated over) and with LIMIT kept only where taking the
+//! first rows per shard is safe — no ORDER BY / DISTINCT, since then
 //! concatenation in shard order preserves global row order.
 //!
-//! The wire format survives `serde_json` exactly: every `f64` travels
-//! as its `u64` bit pattern (JSON cannot represent `±inf`/`NaN`, and
-//! the accumulator sentinels are `±inf`), and the `u128` key-token
-//! encoding travels as a `(hi, lo)` pair of `u64`s. [`combine`] merges
-//! shard outputs — visited in shard order, each shard's groups already
-//! sorted by local first-row position — via the same [`Accum`] merge
-//! the morsel executor uses, so the result is bit-identical to a serial
-//! single-database execution.
+//! Runs are in-memory values: accumulators keep their `±inf` rest
+//! states and NaN payloads, key tokens their `u128` encodings, and
+//! frames their cells, because nothing is re-encoded between a source
+//! and the combiner.
 
-use super::exec::{self, Accum, ExecStats, GroupKey, GroupMap, KeyToken};
-use super::morsel::{self, MergedGroup};
+use super::exec::{self, GroupMerger, PartialGroup};
+use super::morsel::{kind_of, Partial, PartialRun};
 use super::physical::PhysicalPlan;
 use super::plan::QueryShape;
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
-use infera_frame::{AggKind, Column, DataFrame, DType, JoinKind, Value};
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use infera_frame::{Column, DType, DataFrame};
 
-/// Version stamp of the fragment wire format. Bumped on any
-/// incompatible change; the golden test pins the serialized schema.
-pub const WIRE_VERSION: u32 = 1;
-
-/// What a shard worker produces for this fragment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// What a shard hands the combiner for this fragment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FragmentMode {
-    /// Grouped/whole-table aggregate: ship pre-finalize partial groups.
+    /// Grouped/whole-table aggregate: pre-finalize partial groups.
     PartialAggregate,
-    /// Projection: ship the shard's (optionally limited) result rows.
+    /// Projection: the shard's (optionally limited) result rows.
     Rows,
 }
 
 /// A physical plan packaged for partition-local execution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlanFragment {
-    pub wire_version: u32,
     pub mode: FragmentMode,
     pub plan: PhysicalPlan,
 }
@@ -64,291 +55,14 @@ impl PlanFragment {
                 FragmentMode::Rows
             }
         };
-        PlanFragment {
-            wire_version: WIRE_VERSION,
-            mode,
-            plan,
-        }
-    }
-
-    /// Stable hash of the packaged plan (the fragment-cache key).
-    pub fn plan_hash(&self) -> u64 {
-        self.plan.plan_hash()
-    }
-
-    /// Serialize for the send boundary.
-    pub fn to_json(&self) -> DbResult<String> {
-        serde_json::to_string(self)
-            .map_err(|e| DbError::Exec(format!("serialize plan fragment: {e}")))
-    }
-
-    /// Deserialize at the worker boundary.
-    pub fn from_json(json: &str) -> DbResult<PlanFragment> {
-        let frag: PlanFragment = serde_json::from_str(json)
-            .map_err(|e| DbError::Exec(format!("deserialize plan fragment: {e}")))?;
-        if frag.wire_version != WIRE_VERSION {
-            return Err(DbError::Exec(format!(
-                "plan fragment wire version {} unsupported (worker speaks {})",
-                frag.wire_version, WIRE_VERSION
-            )));
-        }
-        Ok(frag)
+        PlanFragment { mode, plan }
     }
 }
 
-/// One group-key token on the wire: the `u128` encoding split into two
-/// `u64`s (serde_json `u128` support is not universal), or the string.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum WireToken {
-    Enc { hi: u64, lo: u64 },
-    Str(String),
-}
-
-/// A scalar cell on the wire; floats as bit patterns.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum WireValue {
-    F64(u64),
-    I64(i64),
-    Str(String),
-    Bool(bool),
-}
-
-/// A streaming accumulator on the wire; every float as its bit pattern
-/// (min/max rest at `±inf`, NaN payloads must survive byte-for-byte).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WireAccum {
-    pub rows: u64,
-    pub count: u64,
-    pub sum: u64,
-    pub sumsq: u64,
-    pub min: u64,
-    pub max: u64,
-    pub first: Option<u64>,
-    pub last: Option<u64>,
-    pub values: Option<Vec<u64>>,
-}
-
-/// One partial group: key tokens, representative key values, one
-/// accumulator per aggregate, and the shard-local first-row position.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WireGroup {
-    pub key: Vec<WireToken>,
-    pub vals: Vec<WireValue>,
-    pub accums: Vec<WireAccum>,
-    pub first_pos: u64,
-}
-
-/// A typed column on the wire; `F64` data as bit patterns.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum WireColumn {
-    F64(Vec<u64>),
-    I64(Vec<i64>),
-    Str(Vec<String>),
-    Bool(Vec<bool>),
-}
-
-/// A frame on the wire: named typed columns in schema order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WireFrame {
-    pub columns: Vec<(String, WireColumn)>,
-}
-
-/// The payload of one executed fragment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum WirePayload {
-    Groups(Vec<WireGroup>),
-    Rows(WireFrame),
-}
-
-/// Everything a shard worker sends back for one fragment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FragmentOutput {
-    pub wire_version: u32,
-    /// Hash of the fragment plan this output answers.
-    pub plan_hash: u64,
-    pub stats: ExecStats,
-    pub morsels: u64,
-    pub workers: u64,
-    pub payload: WirePayload,
-}
-
-impl FragmentOutput {
-    /// Serialize for the reply boundary.
-    pub fn to_json(&self) -> DbResult<String> {
-        serde_json::to_string(self)
-            .map_err(|e| DbError::Exec(format!("serialize fragment output: {e}")))
-    }
-
-    /// Deserialize at the combiner boundary.
-    pub fn from_json(json: &str) -> DbResult<FragmentOutput> {
-        serde_json::from_str(json)
-            .map_err(|e| DbError::Exec(format!("deserialize fragment output: {e}")))
-    }
-
-    /// Result rows in this payload (groups or rows).
-    pub fn payload_rows(&self) -> usize {
-        match &self.payload {
-            WirePayload::Groups(gs) => gs.len(),
-            WirePayload::Rows(f) => f.columns.first().map_or(0, |(_, c)| match c {
-                WireColumn::F64(v) => v.len(),
-                WireColumn::I64(v) => v.len(),
-                WireColumn::Str(v) => v.len(),
-                WireColumn::Bool(v) => v.len(),
-            }),
-        }
-    }
-}
-
-fn encode_token(t: &KeyToken) -> WireToken {
-    match t {
-        KeyToken::Enc(e) => WireToken::Enc {
-            hi: (e >> 64) as u64,
-            lo: *e as u64,
-        },
-        KeyToken::Str(s) => WireToken::Str(s.clone()),
-    }
-}
-
-fn decode_token(t: &WireToken) -> KeyToken {
-    match t {
-        WireToken::Enc { hi, lo } => KeyToken::Enc((u128::from(*hi) << 64) | u128::from(*lo)),
-        WireToken::Str(s) => KeyToken::Str(s.clone()),
-    }
-}
-
-fn encode_value(v: &Value) -> WireValue {
-    match v {
-        Value::F64(x) => WireValue::F64(x.to_bits()),
-        Value::I64(x) => WireValue::I64(*x),
-        Value::Str(s) => WireValue::Str(s.clone()),
-        Value::Bool(b) => WireValue::Bool(*b),
-    }
-}
-
-fn decode_value(v: &WireValue) -> Value {
-    match v {
-        WireValue::F64(b) => Value::F64(f64::from_bits(*b)),
-        WireValue::I64(x) => Value::I64(*x),
-        WireValue::Str(s) => Value::Str(s.clone()),
-        WireValue::Bool(b) => Value::Bool(*b),
-    }
-}
-
-fn encode_accum(a: &Accum) -> WireAccum {
-    WireAccum {
-        rows: a.rows,
-        count: a.count,
-        sum: a.sum.to_bits(),
-        sumsq: a.sumsq.to_bits(),
-        min: a.min.to_bits(),
-        max: a.max.to_bits(),
-        first: a.first.map(f64::to_bits),
-        last: a.last.map(f64::to_bits),
-        values: a
-            .values
-            .as_ref()
-            .map(|vs| vs.iter().copied().map(f64::to_bits).collect()),
-    }
-}
-
-fn decode_accum(a: &WireAccum) -> Accum {
-    let mut out = Accum::new(a.values.is_some());
-    out.rows = a.rows;
-    out.count = a.count;
-    out.sum = f64::from_bits(a.sum);
-    out.sumsq = f64::from_bits(a.sumsq);
-    out.min = f64::from_bits(a.min);
-    out.max = f64::from_bits(a.max);
-    out.first = a.first.map(f64::from_bits);
-    out.last = a.last.map(f64::from_bits);
-    out.values = a
-        .values
-        .as_ref()
-        .map(|vs| vs.iter().copied().map(f64::from_bits).collect());
-    out
-}
-
-fn encode_group(g: &MergedGroup) -> WireGroup {
-    WireGroup {
-        key: g.key.iter().map(encode_token).collect(),
-        vals: g.vals.iter().map(encode_value).collect(),
-        accums: g.accums.iter().map(encode_accum).collect(),
-        first_pos: g.first_pos,
-    }
-}
-
-/// Encode a frame for the wire, preserving schema for empty shards.
-pub fn encode_frame(frame: &DataFrame) -> WireFrame {
-    let columns = frame
-        .iter_columns()
-        .map(|(name, col)| {
-            let wire = match col {
-                Column::F64(v) => WireColumn::F64(v.iter().copied().map(f64::to_bits).collect()),
-                Column::I64(v) => WireColumn::I64(v.clone()),
-                Column::Str(v) => WireColumn::Str(v.clone()),
-                Column::Bool(v) => WireColumn::Bool(v.clone()),
-            };
-            (name.to_string(), wire)
-        })
-        .collect();
-    WireFrame { columns }
-}
-
-/// Decode a wire frame.
-pub fn decode_frame(wire: &WireFrame) -> DbResult<DataFrame> {
-    let mut frame = DataFrame::new();
-    for (name, col) in &wire.columns {
-        let col = match col {
-            WireColumn::F64(v) => Column::F64(v.iter().copied().map(f64::from_bits).collect()),
-            WireColumn::I64(v) => Column::I64(v.clone()),
-            WireColumn::Str(v) => Column::Str(v.clone()),
-            WireColumn::Bool(v) => Column::Bool(v.clone()),
-        };
-        frame.add_column(name.clone(), col).map_err(DbError::from)?;
-    }
-    Ok(frame)
-}
-
-/// Execute a fragment against a partition-local database.
-pub fn execute_fragment(db: &Database, frag: &PlanFragment) -> DbResult<FragmentOutput> {
-    if frag.wire_version != WIRE_VERSION {
-        return Err(DbError::Exec(format!(
-            "plan fragment wire version {} unsupported (worker speaks {})",
-            frag.wire_version, WIRE_VERSION
-        )));
-    }
-    let mut stats = ExecStats::default();
-    let (morsels, workers, payload) = match frag.mode {
-        FragmentMode::PartialAggregate => {
-            let run = morsel::execute_partial(db, &frag.plan, &mut stats)?;
-            let groups: Vec<WireGroup> = run.groups.iter().map(encode_group).collect();
-            (run.morsels, run.workers, WirePayload::Groups(groups))
-        }
-        FragmentMode::Rows => {
-            let run = morsel::execute(db, &frag.plan, &mut stats)?;
-            let mut frame = run.frame;
-            // Local LIMIT is only kept in the fragment when shard-order
-            // concatenation preserves it (no ORDER BY / DISTINCT).
-            if let Some(limit) = frag.plan.limit {
-                frame = frame.head(limit);
-            }
-            (run.morsels, run.workers, WirePayload::Rows(encode_frame(&frame)))
-        }
-    };
-    let out = FragmentOutput {
-        wire_version: WIRE_VERSION,
-        plan_hash: frag.plan_hash(),
-        stats,
-        morsels,
-        workers,
-        payload,
-    };
-    Ok(out)
-}
-
-/// Empty frame with the plan's joined schema — key-dtype fallback when
-/// every shard's partition came back groupless.
-fn empty_joined_schema(db: &Database, plan: &PhysicalPlan) -> DbResult<DataFrame> {
+/// Zero-row frame with the plan's joined schema: the base scan's pruned
+/// columns joined through every build side. Types the result when no
+/// source produced a group or a row.
+fn empty_joined(db: &Database, plan: &PhysicalPlan) -> DbResult<DataFrame> {
     let empty_of = |scan_idx: usize| -> DbResult<DataFrame> {
         let spec = &plan.scans[scan_idx].spec;
         let schema = db.table_schema(&spec.table)?;
@@ -368,96 +82,74 @@ fn empty_joined_schema(db: &Database, plan: &PhysicalPlan) -> DbResult<DataFrame
     let mut frame = empty_of(0)?;
     for j in &plan.joins {
         let right = empty_of(j.scan_idx)?;
-        let kind = match j.kind {
-            super::ast::JoinType::Inner => JoinKind::Inner,
-            super::ast::JoinType::Left => JoinKind::Left,
-        };
-        frame = frame.join(&right, &j.left_col, &j.right_col, kind)?;
+        frame = frame.join(&right, &j.left_col, &j.right_col, kind_of(j.kind))?;
     }
     Ok(frame)
 }
 
-/// Merge shard fragment outputs into the final frame.
+/// Merge the runs of `plan` — one per source, in source order — into the
+/// final frame: merge, synthesize, finalize, then HAVING / DISTINCT /
+/// ORDER BY / LIMIT. `plan` is the statement's plan, not a fragment's
+/// copy (whose final-only LIMIT is stripped).
 ///
-/// `outputs` must be in shard order. Determinism argument: a partitioned
-/// table assigns each shard a contiguous sim range and appends preserve
-/// within-shard row order, so shard-order concatenation *is* the serial
-/// global row order; within one shard, groups arrive sorted by local
-/// first-row position. Visiting groups in `(shard, first_pos)` order
-/// therefore reproduces the serial first-seen group order exactly, and
-/// [`Accum::merge`] in that order reproduces the serial accumulator
-/// states (FIRST takes the earliest shard's value, LAST the latest;
-/// MEDIAN re-sorts its shipped values at finalize). `schema_db` (any
-/// shard — schemas are identical) supplies key dtypes when every shard
-/// came back empty.
+/// Determinism argument: a partitioned table assigns each shard a
+/// contiguous sim range and appends preserve within-shard row order, so
+/// shard-order concatenation *is* the serial global row order; within
+/// one run, groups arrive sorted by first-row position. Visiting groups
+/// in `(source, first_pos)` order therefore reproduces the serial
+/// first-seen group order exactly, and [`exec::Accum::merge`] in that
+/// order reproduces the serial accumulator states (FIRST takes the
+/// earliest source's value, LAST the latest; MEDIAN re-sorts its carried
+/// values at finalize). With one run nothing merges, so a single
+/// database is the one-shard case of the same code.
+///
+/// What only the combiner can know lives here and nowhere else: a
+/// whole-table aggregate over zero rows still yields one row (an empty
+/// partition must not fabricate a group per shard), and a result with no
+/// group or row at all takes its column types from `schema_db`'s catalog
+/// (any shard — schemas are identical).
 pub fn combine(
     plan: &PhysicalPlan,
-    outputs: &[FragmentOutput],
+    runs: Vec<PartialRun>,
     schema_db: &Database,
 ) -> DbResult<DataFrame> {
     let frame = match &plan.shape {
         QueryShape::Aggregate { keys, aggs } => {
-            let mut order: Vec<GroupKey> = Vec::new();
-            let mut groups: GroupMap = HashMap::new();
-            for out in outputs {
-                let WirePayload::Groups(gs) = &out.payload else {
+            let mut merged = GroupMerger::default();
+            for run in runs {
+                let Partial::Groups(groups) = run.partial else {
                     return Err(DbError::Exec(
-                        "aggregate combine received a rows payload".into(),
+                        "aggregate combine received a projection's rows".into(),
                     ));
                 };
-                for g in gs {
-                    let key: GroupKey = g.key.iter().map(decode_token).collect();
-                    let accums: Vec<Accum> = g.accums.iter().map(decode_accum).collect();
-                    match groups.get_mut(&key) {
-                        Some((_, existing)) => {
-                            for (x, a) in existing.iter_mut().zip(&accums) {
-                                x.merge(a);
-                            }
-                        }
-                        None => {
-                            let vals: Vec<Value> = g.vals.iter().map(decode_value).collect();
-                            order.push(key.clone());
-                            groups.insert(key, (vals, accums));
-                        }
-                    }
+                for g in groups {
+                    merged.push(g);
                 }
             }
-            // Whole-table aggregate over zero rows still yields one row —
-            // synthesized here, never per shard (an empty partition must
-            // not fabricate a group).
-            if keys.is_empty() && order.is_empty() {
-                let accums: Vec<Accum> = aggs
-                    .iter()
-                    .map(|a| Accum::new(a.kind == AggKind::Median))
-                    .collect();
-                order.push(GroupKey::new());
-                groups.insert(GroupKey::new(), (Vec::new(), accums));
+            let mut groups = merged.finish();
+            if keys.is_empty() && groups.is_empty() {
+                groups.push(PartialGroup::zero_rows(aggs));
             }
-            let fallback = if order.is_empty() {
-                Some(empty_joined_schema(schema_db, plan)?)
-            } else {
-                None
-            };
-            exec::assemble_groups(keys, aggs, &order, &groups, |ki| match &fallback {
-                Some(f) => Ok(keys[ki].1.eval(f)?.dtype()),
-                None => Ok(DType::F64),
-            })?
+            exec::assemble_groups(keys, aggs, &groups, || empty_joined(schema_db, plan))?
         }
-        QueryShape::Projection { .. } => {
+        QueryShape::Projection { items } => {
             let mut acc: Option<DataFrame> = None;
-            for out in outputs {
-                let WirePayload::Rows(wf) = &out.payload else {
+            for run in runs {
+                let Partial::Rows(rows) = run.partial else {
                     return Err(DbError::Exec(
-                        "projection combine received a groups payload".into(),
+                        "projection combine received an aggregate's groups".into(),
                     ));
                 };
-                let frame = decode_frame(wf)?;
-                match &mut acc {
-                    Some(a) => a.vstack(&frame)?,
-                    None => acc = Some(frame),
+                match (&mut acc, rows) {
+                    (Some(a), Some(frame)) => a.vstack(&frame)?,
+                    (None, Some(frame)) => acc = Some(frame),
+                    (_, None) => {}
                 }
             }
-            acc.ok_or_else(|| DbError::Exec("projection combine received no outputs".into()))?
+            match acc {
+                Some(frame) => frame,
+                None => exec::project(items, &empty_joined(schema_db, plan)?)?,
+            }
         }
     };
     exec::post_steps(
@@ -472,39 +164,50 @@ pub fn combine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sql::ast::Statement;
+    use crate::sql::{logical, parser, physical, plan as sql_plan};
 
-    #[test]
-    fn accum_roundtrip_preserves_sentinels() {
-        let a = Accum::new(true);
-        let wire = encode_accum(&a);
-        let back = decode_accum(&wire);
-        assert_eq!(back.min.to_bits(), f64::INFINITY.to_bits());
-        assert_eq!(back.max.to_bits(), f64::NEG_INFINITY.to_bits());
-        let json = serde_json::to_string(&wire).unwrap();
-        let wire2: WireAccum = serde_json::from_str(&json).unwrap();
-        let back2 = decode_accum(&wire2);
-        assert_eq!(back2.min.to_bits(), a.min.to_bits());
-        assert_eq!(back2.max.to_bits(), a.max.to_bits());
-    }
-
-    #[test]
-    fn token_roundtrip_covers_u128() {
-        let t = KeyToken::Enc(u128::MAX - 12345);
-        let wire = encode_token(&t);
-        let json = serde_json::to_string(&wire).unwrap();
-        let wire2: WireToken = serde_json::from_str(&json).unwrap();
-        assert_eq!(decode_token(&wire2), t);
-    }
-
-    #[test]
-    fn value_roundtrip_preserves_nan_bits() {
-        let v = Value::F64(f64::NAN);
-        let wire = encode_value(&v);
-        let json = serde_json::to_string(&wire).unwrap();
-        let wire2: WireValue = serde_json::from_str(&json).unwrap();
-        let Value::F64(x) = decode_value(&wire2) else {
-            panic!()
+    fn plan_of(db: &Database, sql: &str) -> PhysicalPlan {
+        let Statement::Select(sel) = parser::parse(sql).unwrap() else {
+            panic!("expected SELECT")
         };
-        assert_eq!(x.to_bits(), f64::NAN.to_bits());
+        let lp = logical::build(sql_plan::resolve(&sel, db).unwrap());
+        physical::optimize(db, &lp)
+    }
+
+    #[test]
+    fn from_plan_strips_preagg_and_final_only_limit() {
+        let dir = std::env::temp_dir().join("infera_fragment_tests/from_plan");
+        std::fs::remove_dir_all(&dir).ok();
+        let db = Database::create(&dir).unwrap();
+        let halos = DataFrame::from_columns([
+            ("id", Column::I64((0..200).collect())),
+            ("tag", Column::Str((0..200).map(|i| format!("t{}", i % 4)).collect())),
+        ])
+        .unwrap();
+        let dim = DataFrame::from_columns([("tag", Column::Str(vec!["t0".into(), "t1".into()]))])
+            .unwrap();
+        for (name, frame) in [("halos", &halos), ("dim", &dim)] {
+            db.create_table(name, &frame.schema()).unwrap();
+            db.append(name, frame).unwrap();
+        }
+        // Key-only build side over a low-cardinality key: pre-aggregated.
+        let plan = plan_of(
+            &db,
+            "SELECT COUNT(*) AS n FROM halos JOIN dim ON halos.tag = dim.tag",
+        );
+        assert!(plan.preagg.is_some(), "fixture must trigger the rewrite");
+        let frag = PlanFragment::from_plan(&plan);
+        assert_eq!(frag.mode, FragmentMode::PartialAggregate);
+        assert!(frag.plan.preagg.is_none());
+
+        let limit_of = |sql: &str| {
+            let frag = PlanFragment::from_plan(&plan_of(&db, sql));
+            assert_eq!(frag.mode, FragmentMode::Rows);
+            frag.plan.limit
+        };
+        assert_eq!(limit_of("SELECT id FROM halos LIMIT 7"), Some(7));
+        assert_eq!(limit_of("SELECT id FROM halos ORDER BY id LIMIT 7"), None);
+        assert_eq!(limit_of("SELECT DISTINCT tag FROM halos LIMIT 7"), None);
     }
 }

@@ -13,7 +13,7 @@ use infera_frame::Expr;
 
 /// The logical query plan: what to compute, before any decision on
 /// join order, predicate placement, or aggregation strategy.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct LogicalPlan {
     /// Tables in scope; `scans[0]` is the FROM (probe-side) table.
     pub scans: Vec<ScanSpec>,

@@ -11,17 +11,22 @@
 //!
 //! Determinism: each group records the position of its first row as
 //! `(morsel_index << 32) | row`, and the cross-worker merge sorts by
-//! that position before combining accumulators. The result is
-//! bitwise-identical to a sequential chunk-order scan, regardless of
-//! worker count or scheduling, so serve-layer report digests are
-//! stable.
+//! that position before combining accumulators. Group order, counts,
+//! MIN/MAX, MEDIAN and exactly representable sums are then those of a
+//! sequential chunk-order scan, regardless of worker count or
+//! scheduling, so serve-layer report digests are stable; FIRST/LAST,
+//! which depend on the order a group's rows are met in, run on a single
+//! worker (a rounded float SUM still follows the morsel-to-worker
+//! assignment).
 
 use super::ast::JoinType;
 use super::exec::{
-    eval_arg_data, push_row, to_refs, Accum, ExecStats, GroupKey, GroupMap, KeyToken,
+    chunk_partial, eval_arg_data, new_accums, project, push_row, to_refs, Accum, ExecStats,
+    GroupMerger, KeyToken, PartialGroup,
 };
+use super::fragment::combine;
 use super::physical::{PhysJoin, PhysScan, PhysicalPlan, PreAgg};
-use super::plan::QueryShape;
+use super::plan::{AggItem, QueryShape};
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
 use infera_frame::{
@@ -42,20 +47,81 @@ const JOIN_KEY_MODE: KeyMode = KeyMode::Unify {
 /// Result of one morsel-driven execution.
 pub struct MorselRun {
     pub frame: DataFrame,
+    /// Scan counters; `rows_output` is left to the caller.
+    pub stats: ExecStats,
     /// Morsels dispatched (== base-table chunks).
     pub morsels: u64,
     /// Workers in the pool.
     pub workers: u64,
 }
 
-/// Execute a physical plan. `stats` accumulates scan counters.
-pub fn execute(db: &Database, plan: &PhysicalPlan, stats: &mut ExecStats) -> DbResult<MorselRun> {
-    let n_chunks = db.n_chunks(&plan.scans[0].spec.table)?;
-    stats.chunks_total = n_chunks;
-    let workers = worker_count(db, n_chunks);
+/// What one [`execute_partial`] leaves for [`combine`].
+pub(crate) enum Partial {
+    /// Aggregate shape: pre-finalize groups sorted by first-row position.
+    Groups(Vec<PartialGroup>),
+    /// Projection shape: the projected rows in scan order; `None` when no
+    /// morsel produced a frame (empty table, or every chunk zone-skipped).
+    Rows(Option<DataFrame>),
+}
 
-    // Build sides: scan each build table once (pushed predicates
-    // applied), build one shared hash table per join.
+/// One source's share of a plan's work: scanned, probed, filtered and
+/// folded, but not merged with other sources, finalized or post-processed
+/// — the input of [`combine`], whether it came from the whole database or
+/// from one shard's partition.
+pub struct PartialRun {
+    pub(crate) partial: Partial,
+    /// Scan counters of this run (`rows_output` stays 0).
+    pub stats: ExecStats,
+    /// Morsels dispatched (== base-table chunks of this source).
+    pub morsels: u64,
+    /// Workers in the pool.
+    pub workers: u64,
+}
+
+impl PartialRun {
+    /// Partial groups or rows this run hands to the combiner.
+    pub fn partial_rows(&self) -> usize {
+        match &self.partial {
+            Partial::Groups(gs) => gs.len(),
+            Partial::Rows(frame) => frame.as_ref().map_or(0, DataFrame::n_rows),
+        }
+    }
+}
+
+/// Execute a physical plan to its final frame: [`combine`] over the one
+/// [`PartialRun`] of the whole database.
+pub fn execute(db: &Database, plan: &PhysicalPlan) -> DbResult<MorselRun> {
+    let run = execute_partial(db, plan)?;
+    let (stats, morsels, workers) = (run.stats, run.morsels, run.workers);
+    Ok(MorselRun {
+        frame: combine(plan, vec![run], db)?,
+        stats,
+        morsels,
+        workers,
+    })
+}
+
+/// Run a plan's pipeline over `db` up to, but excluding, the merge across
+/// sources: scan each build table once and build one shared hash table
+/// per join, then scan, probe, filter and fold the base table's morsels
+/// and merge this run's workers. A projection keeps its LIMIT only when
+/// no ORDER BY / DISTINCT follows, since then the first rows in scan
+/// order are the answer's. Whatever needs every source's partial —
+/// zero-row synthesis, empty-result typing, finalization, HAVING /
+/// DISTINCT / ORDER BY / LIMIT — is [`combine`]'s.
+pub fn execute_partial(db: &Database, plan: &PhysicalPlan) -> DbResult<PartialRun> {
+    let n_chunks = db.n_chunks(&plan.scans[0].spec.table)?;
+    // FIRST/LAST follow row order, and a worker folds the non-contiguous
+    // morsels it pulls into one table: only a lone worker meets a group's
+    // rows in scan order.
+    let ordered = matches!(&plan.shape, QueryShape::Aggregate { aggs, .. }
+        if aggs.iter().any(|a| matches!(a.kind, AggKind::First | AggKind::Last)));
+    let workers = if ordered { 1 } else { worker_count(n_chunks) };
+    let mut stats = ExecStats {
+        chunks_total: n_chunks,
+        ..ExecStats::default()
+    };
+
     let rights: Vec<DataFrame> = plan
         .joins
         .iter()
@@ -79,17 +145,22 @@ pub fn execute(db: &Database, plan: &PhysicalPlan, stats: &mut ExecStats) -> DbR
         })
         .collect::<DbResult<_>>()?;
 
-    let frame = if let Some(pre) = &plan.preagg {
-        run_preagg(db, plan, pre, &tables, n_chunks, workers, stats)?
-    } else {
-        let ctx = ScanCtx::new(db, plan, &plan.joins)?;
-        match &plan.shape {
-            QueryShape::Aggregate { keys, aggs } => run_aggregate(
-                db, plan, &ctx, &tables, keys, aggs, n_chunks, workers, stats,
-            )?,
-            QueryShape::Projection { items } => {
-                run_projection(db, plan, &ctx, &tables, items, n_chunks, workers, stats)?
+    let pool = Pool {
+        db,
+        n_morsels: n_chunks,
+        workers,
+    };
+    let partial = match &plan.shape {
+        QueryShape::Aggregate { keys, aggs } => Partial::Groups(match &plan.preagg {
+            Some(pre) => run_preagg(&pool, plan, pre, aggs, &tables[0], &mut stats)?,
+            None => {
+                let ctx = ScanCtx::new(db, plan, &plan.joins)?;
+                fold_groups(&pool, &ctx, &tables, keys, aggs, &mut stats)?
             }
+        }),
+        QueryShape::Projection { items } => {
+            let ctx = ScanCtx::new(db, plan, &plan.joins)?;
+            Partial::Rows(run_projection(&pool, plan, &ctx, &tables, items, &mut stats)?)
         }
     };
     if stats.rows_pruned > 0 {
@@ -97,22 +168,22 @@ pub fn execute(db: &Database, plan: &PhysicalPlan, stats: &mut ExecStats) -> DbR
             .metrics
             .inc(metric_names::SCAN_ROWS_PRUNED, stats.rows_pruned);
     }
-    Ok(MorselRun {
-        frame,
+    Ok(PartialRun {
+        partial,
+        stats,
         morsels: n_chunks as u64,
         workers: workers as u64,
     })
 }
 
-fn worker_count(db: &Database, n_morsels: usize) -> usize {
+fn worker_count(n_morsels: usize) -> usize {
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let cap = db.worker_cap.unwrap_or(usize::MAX).max(1);
-    hw.min(cap).min(n_morsels).max(1)
+    hw.min(n_morsels).max(1)
 }
 
-fn kind_of(kind: JoinType) -> JoinKind {
+pub(crate) fn kind_of(kind: JoinType) -> JoinKind {
     match kind {
         JoinType::Inner => JoinKind::Inner,
         JoinType::Left => JoinKind::Left,
@@ -127,14 +198,27 @@ fn scan_build(db: &Database, scan: &PhysScan) -> DbResult<DataFrame> {
     Ok(frame)
 }
 
-/// The morsel worker pool. `work(state, morsel)` returns `false` to stop
-/// draining (single-worker early exit); errors propagate to the caller.
-fn run_pool<S, I, F>(db: &Database, workers: usize, n_morsels: usize, init: I, work: F) -> DbResult<Vec<S>>
+/// The morsel worker pool of one run.
+struct Pool<'a> {
+    db: &'a Database,
+    n_morsels: usize,
+    workers: usize,
+}
+
+/// Drain the pool's morsel queue. `work(state, morsel)` returns `false` to
+/// stop draining (single-worker early exit); errors propagate to the
+/// caller. One state per worker comes back.
+fn run_pool<S, I, F>(pool: &Pool<'_>, init: I, work: F) -> DbResult<Vec<S>>
 where
     S: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> DbResult<bool> + Sync,
 {
+    let Pool {
+        db,
+        n_morsels,
+        workers,
+    } = *pool;
     db.obs()
         .metrics
         .inc(metric_names::MORSEL_COUNT, n_morsels as u64);
@@ -418,33 +502,6 @@ fn finish_morsel(
     Ok(Some((rows_in, pruned, frame)))
 }
 
-/// Empty frame with the base scan's schema, joined through every build
-/// table — used to type columns when zone maps skip every chunk.
-fn empty_joined(
-    db: &Database,
-    plan: &PhysicalPlan,
-    joins: &[PhysJoin],
-    tables: &[JoinTable<'_>],
-) -> DbResult<DataFrame> {
-    let base = &plan.scans[0];
-    let schema = db.table_schema(&base.spec.table)?;
-    let mut frame = DataFrame::new();
-    for name in &base.spec.columns {
-        let dtype = schema
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, d)| *d)
-            .unwrap_or(DType::F64);
-        frame
-            .add_column(name.clone(), Column::empty(dtype))
-            .map_err(DbError::from)?;
-    }
-    for (k, j) in joins.iter().enumerate() {
-        frame = frame.join_with_table(&tables[k], &j.left_col, kind_of(j.kind))?;
-    }
-    Ok(frame)
-}
-
 fn pos(ci: usize, seq: usize) -> u64 {
     ((ci as u64) << 32) | seq as u64
 }
@@ -457,21 +514,11 @@ enum AggTable {
         map: HashMap<String, u32>,
         entries: Vec<StrEntry>,
     },
-    Generic {
-        map: HashMap<GroupKey, u32>,
-        entries: Vec<GenEntry>,
-    },
+    Generic(GroupMerger),
 }
 
 struct StrEntry {
     name: String,
-    accums: Vec<Accum>,
-    first_pos: u64,
-}
-
-struct GenEntry {
-    key: GroupKey,
-    vals: Vec<Value>,
     accums: Vec<Accum>,
     first_pos: u64,
 }
@@ -494,8 +541,7 @@ struct AggWorker {
 /// Shared state of one aggregation run (plain or pre-aggregating).
 struct AggRun<'a> {
     keys: &'a [(String, Expr)],
-    aggs: &'a [super::plan::AggItem],
-    needs_values: Vec<bool>,
+    aggs: &'a [AggItem],
     /// `Some(key column)` when the single-Str-key fast path applies.
     str_key: Option<String>,
     /// Dictionary-code grouping applies on Dict-encoded chunks.
@@ -509,9 +555,8 @@ impl<'a> AggRun<'a> {
         db: &Database,
         ctx: &ScanCtx<'_>,
         keys: &'a [(String, Expr)],
-        aggs: &'a [super::plan::AggItem],
+        aggs: &'a [AggItem],
     ) -> DbResult<AggRun<'a>> {
-        let needs_values: Vec<bool> = aggs.iter().map(|a| a.kind == AggKind::Median).collect();
         let mut str_key = None;
         if ctx.joins.is_empty() && ctx.residual.is_none() {
             if let [(_, Expr::Col(k))] = keys {
@@ -544,15 +589,10 @@ impl<'a> AggRun<'a> {
         Ok(AggRun {
             keys,
             aggs,
-            needs_values,
             str_key,
             dict_ok,
             arg_cols,
         })
-    }
-
-    fn new_accums(&self) -> Vec<Accum> {
-        self.needs_values.iter().map(|&kv| Accum::new(kv)).collect()
     }
 
     fn new_table(&self) -> AggTable {
@@ -562,10 +602,7 @@ impl<'a> AggRun<'a> {
                 entries: Vec::new(),
             }
         } else {
-            AggTable::Generic {
-                map: HashMap::new(),
-                entries: Vec::new(),
-            }
+            AggTable::Generic(GroupMerger::default())
         }
     }
 }
@@ -608,7 +645,7 @@ fn fold_morsel(
                     map.insert(s.clone(), i as u32);
                     entries.push(StrEntry {
                         name: s.clone(),
-                        accums: run.new_accums(),
+                        accums: new_accums(run.aggs),
                         first_pos: pos(ci, row),
                     });
                     i
@@ -625,29 +662,12 @@ fn fold_morsel(
     };
     w.counters.scanned += rows_in;
     w.counters.pruned += pruned;
-    let mut partial = super::exec::chunk_partial(&frame, run.keys, run.aggs, &run.needs_values)?;
-    let AggTable::Generic { map, entries } = &mut w.table else {
+    let AggTable::Generic(merger) = &mut w.table else {
         unreachable!("generic worker has Generic table")
     };
-    for (seq, key) in partial.order.iter().enumerate() {
-        let (vals, accums) = partial.groups.remove(key).expect("partial group present");
-        match map.get(key) {
-            Some(&i) => {
-                let e = &mut entries[i as usize];
-                for (x, a) in e.accums.iter_mut().zip(&accums) {
-                    x.merge(a);
-                }
-            }
-            None => {
-                map.insert(key.clone(), entries.len() as u32);
-                entries.push(GenEntry {
-                    key: key.clone(),
-                    vals,
-                    accums,
-                    first_pos: pos(ci, seq),
-                });
-            }
-        }
+    for mut g in chunk_partial(&frame, run.keys, run.aggs)? {
+        g.first_pos = pos(ci, g.first_pos as usize);
+        merger.push(g);
     }
     w.counters.folded += 1;
     Ok(())
@@ -685,7 +705,7 @@ fn fold_dict_codes(
                     map.insert(s.clone(), i);
                     entries.push(StrEntry {
                         name: s.clone(),
-                        accums: run.new_accums(),
+                        accums: new_accums(run.aggs),
                         first_pos: pos(ci, row),
                     });
                     i
@@ -702,42 +722,51 @@ fn fold_dict_codes(
     Ok(())
 }
 
-/// One cross-worker-merged group with the position of its earliest row
-/// retained, so a higher tier (the shard combiner) can re-merge partials
-/// from several executions while preserving global first-seen order.
-pub(crate) struct MergedGroup {
-    pub(crate) key: GroupKey,
-    pub(crate) vals: Vec<Value>,
-    pub(crate) accums: Vec<Accum>,
-    pub(crate) first_pos: u64,
-}
-
-/// Merge worker tables in first-row order. Duplicate groups across
-/// workers keep the smallest `first_pos` (entries are visited in sorted
-/// position order, so the first occurrence wins).
-fn merge_worker_groups(
-    states: Vec<AggWorker>,
+/// Fold every morsel into per-worker tables and merge them in first-row
+/// order: duplicate groups across workers keep the smallest `first_pos`
+/// (entries are visited in sorted position order, so the first
+/// occurrence wins). `tables` is empty when the pre-aggregation rewrite
+/// scans the base table alone.
+fn fold_groups(
+    pool: &Pool<'_>,
+    ctx: &ScanCtx<'_>,
+    tables: &[JoinTable<'_>],
+    keys: &[(String, Expr)],
+    aggs: &[AggItem],
     stats: &mut ExecStats,
-    db: &Database,
-) -> Vec<MergedGroup> {
+) -> DbResult<Vec<PartialGroup>> {
+    let db = pool.db;
+    let run = AggRun::new(db, ctx, keys, aggs)?;
+    let states = run_pool(
+        pool,
+        || AggWorker {
+            table: run.new_table(),
+            counters: WorkerCounters::default(),
+        },
+        |w, ci| fold_morsel(db, ctx, tables, &run, w, ci).map(|()| true),
+    )?;
+
     let mut totals = WorkerCounters::default();
-    let mut str_entries: Vec<StrEntry> = Vec::new();
-    let mut gen_entries: Vec<GenEntry> = Vec::new();
+    let mut entries: Vec<PartialGroup> = Vec::new();
     for w in states {
-        totals.skipped += w.counters.skipped;
-        totals.scanned += w.counters.scanned;
-        totals.pruned += w.counters.pruned;
+        stats.chunks_skipped += w.counters.skipped;
+        stats.rows_scanned += w.counters.scanned;
+        stats.rows_pruned += w.counters.pruned;
         totals.fast_chunks += w.counters.fast_chunks;
         totals.decoded += w.counters.decoded;
         totals.folded += w.counters.folded;
         match w.table {
-            AggTable::Str { entries, .. } => str_entries.extend(entries),
-            AggTable::Generic { entries, .. } => gen_entries.extend(entries),
+            AggTable::Str { entries: es, .. } => entries.extend(es.into_iter().map(|e| {
+                PartialGroup {
+                    key: vec![KeyToken::Str(e.name.clone())],
+                    vals: vec![Value::Str(e.name)],
+                    accums: e.accums,
+                    first_pos: e.first_pos,
+                }
+            })),
+            AggTable::Generic(merger) => entries.extend(merger.finish()),
         }
     }
-    stats.chunks_skipped += totals.skipped;
-    stats.rows_scanned += totals.scanned;
-    stats.rows_pruned += totals.pruned;
     if totals.fast_chunks > 0 {
         db.obs()
             .metrics
@@ -750,209 +779,39 @@ fn merge_worker_groups(
         .metrics
         .inc(metric_names::GROUPBY_PARTIALS_MERGED, totals.folded);
 
-    let mut merged: Vec<MergedGroup> = Vec::new();
-    let mut index: HashMap<GroupKey, u32> = HashMap::new();
-    if !str_entries.is_empty() {
-        str_entries.sort_unstable_by_key(|e| e.first_pos);
-        for e in str_entries {
-            let key = vec![KeyToken::Str(e.name.clone())];
-            match index.get(&key) {
-                Some(&i) => {
-                    let g = &mut merged[i as usize];
-                    for (x, a) in g.accums.iter_mut().zip(&e.accums) {
-                        x.merge(a);
-                    }
-                }
-                None => {
-                    index.insert(key.clone(), merged.len() as u32);
-                    merged.push(MergedGroup {
-                        key,
-                        vals: vec![Value::Str(e.name)],
-                        accums: e.accums,
-                        first_pos: e.first_pos,
-                    });
-                }
-            }
-        }
-    } else {
-        gen_entries.sort_unstable_by_key(|e| e.first_pos);
-        for e in gen_entries {
-            match index.get(&e.key) {
-                Some(&i) => {
-                    let g = &mut merged[i as usize];
-                    for (x, a) in g.accums.iter_mut().zip(&e.accums) {
-                        x.merge(a);
-                    }
-                }
-                None => {
-                    index.insert(e.key.clone(), merged.len() as u32);
-                    merged.push(MergedGroup {
-                        key: e.key,
-                        vals: e.vals,
-                        accums: e.accums,
-                        first_pos: e.first_pos,
-                    });
-                }
-            }
-        }
+    entries.sort_unstable_by_key(|e| e.first_pos);
+    let mut merged = GroupMerger::default();
+    for e in entries {
+        merged.push(e);
     }
-    merged
+    Ok(merged.finish())
 }
 
-/// Merge worker tables into the `(insertion order, group map)` pair
-/// `assemble_groups` consumes.
-fn merge_workers(
-    states: Vec<AggWorker>,
-    stats: &mut ExecStats,
-    db: &Database,
-) -> (Vec<GroupKey>, GroupMap) {
-    let merged = merge_worker_groups(states, stats, db);
-    let mut order: Vec<GroupKey> = Vec::with_capacity(merged.len());
-    let mut groups: GroupMap = HashMap::with_capacity(merged.len());
-    for g in merged {
-        order.push(g.key.clone());
-        groups.insert(g.key, (g.vals, g.accums));
-    }
-    (order, groups)
-}
-
-/// A partial aggregation run: cross-worker-merged groups with their
-/// earliest row positions, *not* finalized or assembled — the raw
-/// material a shard combiner merges across partitions.
-pub(crate) struct PartialRun {
-    pub(crate) groups: Vec<MergedGroup>,
-    pub(crate) morsels: u64,
-    pub(crate) workers: u64,
-}
-
-/// Execute the aggregate pipeline of a plan up to (but excluding) the
-/// cross-execution merge: scan, probe, fold, merge this execution's
-/// workers. Zero-row whole-table synthesis is deliberately left to the
-/// combiner — an empty partition must not fabricate a group. Plans
-/// carrying the pre-aggregation rewrite are rejected: its multiplicity
-/// merge discards first-row positions, which the combiner needs.
-pub(crate) fn execute_partial(
-    db: &Database,
-    plan: &PhysicalPlan,
-    stats: &mut ExecStats,
-) -> DbResult<PartialRun> {
-    let QueryShape::Aggregate { keys, aggs } = &plan.shape else {
-        return Err(DbError::Exec(
-            "partial execution requires an aggregate shape".into(),
-        ));
-    };
-    if plan.preagg.is_some() {
-        return Err(DbError::Exec(
-            "partial execution does not support the pre-aggregation rewrite".into(),
-        ));
-    }
-    let n_chunks = db.n_chunks(&plan.scans[0].spec.table)?;
-    stats.chunks_total = n_chunks;
-    let workers = worker_count(db, n_chunks);
-    let rights: Vec<DataFrame> = plan
-        .joins
-        .iter()
-        .map(|j| scan_build(db, &plan.scans[j.scan_idx]))
-        .collect::<DbResult<_>>()?;
-    let tables: Vec<JoinTable<'_>> = plan
-        .joins
-        .iter()
-        .zip(&rights)
-        .map(|(j, right)| JoinTable::build(right, &j.right_col).map_err(DbError::from))
-        .collect::<DbResult<_>>()?;
-    let ctx = ScanCtx::new(db, plan, &plan.joins)?;
-    let run = AggRun::new(db, &ctx, keys, aggs)?;
-    let states = run_pool(
-        db,
-        workers,
-        n_chunks,
-        || AggWorker {
-            table: run.new_table(),
-            counters: WorkerCounters::default(),
-        },
-        |w, ci| fold_morsel(db, &ctx, &tables, &run, w, ci).map(|()| true),
-    )?;
-    let groups = merge_worker_groups(states, stats, db);
-    Ok(PartialRun {
-        groups,
-        morsels: n_chunks as u64,
-        workers: workers as u64,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_aggregate(
-    db: &Database,
-    plan: &PhysicalPlan,
-    ctx: &ScanCtx<'_>,
-    tables: &[JoinTable<'_>],
-    keys: &[(String, Expr)],
-    aggs: &[super::plan::AggItem],
-    n_chunks: usize,
-    workers: usize,
-    stats: &mut ExecStats,
-) -> DbResult<DataFrame> {
-    let run = AggRun::new(db, ctx, keys, aggs)?;
-    let states = run_pool(
-        db,
-        workers,
-        n_chunks,
-        || AggWorker {
-            table: run.new_table(),
-            counters: WorkerCounters::default(),
-        },
-        |w, ci| fold_morsel(db, ctx, tables, &run, w, ci).map(|()| true),
-    )?;
-    let (mut order, mut groups) = merge_workers(states, stats, db);
-
-    // Whole-table aggregate with zero rows still yields one output row.
-    if keys.is_empty() && order.is_empty() {
-        order.push(GroupKey::new());
-        groups.insert(GroupKey::new(), (Vec::new(), run.new_accums()));
-    }
-    let fallback = if order.is_empty() {
-        Some(empty_joined(db, plan, ctx.joins, tables)?)
-    } else {
-        None
-    };
-    super::exec::assemble_groups(keys, aggs, &order, &groups, |ki| {
-        if run.str_key.is_some() {
-            return Ok(DType::Str);
-        }
-        match &fallback {
-            Some(f) => Ok(keys[ki].1.eval(f)?.dtype()),
-            None => Ok(DType::F64),
-        }
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
+/// The projection's rows in chunk order, `None` when no morsel produced
+/// a frame.
 fn run_projection(
-    db: &Database,
+    pool: &Pool<'_>,
     plan: &PhysicalPlan,
     ctx: &ScanCtx<'_>,
     tables: &[JoinTable<'_>],
     items: &[(String, Expr)],
-    n_chunks: usize,
-    workers: usize,
     stats: &mut ExecStats,
-) -> DbResult<DataFrame> {
+) -> DbResult<Option<DataFrame>> {
     struct ProjWorker {
         frames: Vec<(usize, DataFrame)>,
         counters: WorkerCounters,
         produced: u64,
     }
-    // LIMIT without ORDER BY needs only enough rows; the early exit is
-    // only order-preserving when a single worker drains the queue.
-    let early_limit = if plan.order_by.is_empty() && !plan.distinct && workers == 1 {
-        plan.limit
-    } else {
-        None
-    };
+    let db = pool.db;
+    // Without ORDER BY / DISTINCT the first LIMIT rows in scan order are
+    // all the answer can use. Stopping early is only order-preserving
+    // when a single worker drains the queue.
+    let local_limit = plan
+        .limit
+        .filter(|_| plan.order_by.is_empty() && !plan.distinct);
+    let early_limit = local_limit.filter(|_| pool.workers == 1);
     let states = run_pool(
-        db,
-        workers,
-        n_chunks,
+        pool,
         || ProjWorker {
             frames: Vec::new(),
             counters: WorkerCounters::default(),
@@ -965,12 +824,7 @@ fn run_projection(
             };
             w.counters.scanned += rows_in;
             w.counters.pruned += pruned;
-            let mut projected = DataFrame::new();
-            for (name, expr) in items {
-                projected
-                    .add_column(name.clone(), expr.eval(&frame)?)
-                    .map_err(DbError::from)?;
-            }
+            let projected = project(items, &frame)?;
             w.produced += projected.n_rows() as u64;
             w.frames.push((ci, projected));
             if let Some(lim) = early_limit {
@@ -996,125 +850,64 @@ fn run_projection(
             None => out = Some(f),
         }
     }
-    match out {
-        Some(frame) => Ok(frame),
-        None => {
-            // Every chunk skipped (or empty table): project over an
-            // empty frame with the true joined schema.
-            let empty = empty_joined(db, plan, ctx.joins, tables)?;
-            let mut projected = DataFrame::new();
-            for (name, expr) in items {
-                projected
-                    .add_column(name.clone(), expr.eval(&empty)?)
-                    .map_err(DbError::from)?;
-            }
-            Ok(projected)
-        }
-    }
+    Ok(match (out, local_limit) {
+        (Some(frame), Some(limit)) => Some(frame.head(limit)),
+        (out, _) => out,
+    })
 }
 
 /// Pre-aggregation below the join: aggregate the base table by
 /// `group keys ∪ {join key}`, probe each subgroup's key once for its
 /// match multiplicity, scale the linear accumulators, and merge
-/// subgroups into final groups in first-seen order.
-#[allow(clippy::too_many_arguments)]
+/// subgroups into final groups in first-seen order (a final group keeps
+/// its first surviving subgroup's position).
 fn run_preagg(
-    db: &Database,
+    pool: &Pool<'_>,
     plan: &PhysicalPlan,
     pre: &PreAgg,
-    tables: &[JoinTable<'_>],
-    n_chunks: usize,
-    workers: usize,
+    aggs: &[AggItem],
+    table: &JoinTable<'_>,
     stats: &mut ExecStats,
-) -> DbResult<DataFrame> {
-    let QueryShape::Aggregate { keys, aggs } = &plan.shape else {
-        return Err(DbError::Exec("pre-aggregation requires an aggregate".into()));
-    };
+) -> DbResult<Vec<PartialGroup>> {
+    let db = pool.db;
     // Scan the base table only — the join is replaced by multiplicity
     // scaling, so no morsel ever probes it.
     let ctx = ScanCtx::new(db, plan, &[])?;
-    let run = AggRun::new(db, &ctx, &pre.keys, aggs)?;
-    let states = run_pool(
-        db,
-        workers,
-        n_chunks,
-        || AggWorker {
-            table: run.new_table(),
-            counters: WorkerCounters::default(),
-        },
-        |w, ci| fold_morsel(db, &ctx, &[], &run, w, ci).map(|()| true),
-    )?;
-    let (order, mut groups) = merge_workers(states, stats, db);
+    let subgroups = fold_groups(pool, &ctx, &[], &pre.keys, aggs, stats)?;
+    let Some(first) = subgroups.first() else {
+        return Ok(subgroups);
+    };
+
+    // One representative join-key value per subgroup.
+    let mut key_col = Column::empty(first.vals[pre.key_idx].dtype());
+    for g in &subgroups {
+        key_col
+            .push(g.vals[pre.key_idx].clone())
+            .map_err(DbError::from)?;
+    }
+    let t0 = Instant::now();
+    let extracted = KeyCol::extract(&key_col, JOIN_KEY_MODE);
+    let counts = table.match_counts(&extracted);
+    db.obs().metrics.observe(
+        metric_names::JOIN_PROBE_MS,
+        t0.elapsed().as_secs_f64() * 1e3,
+    );
 
     let inner = plan.joins[0].kind == JoinType::Inner;
-    let mut f_order: Vec<GroupKey> = Vec::new();
-    let mut f_groups: GroupMap = HashMap::new();
-    if !order.is_empty() {
-        // One representative join-key value per subgroup.
-        let dtype = groups[&order[0]].0[pre.key_idx].dtype();
-        let mut key_col = Column::empty(dtype);
-        for key in &order {
-            key_col
-                .push(groups[key].0[pre.key_idx].clone())
-                .map_err(DbError::from)?;
+    let mut merged = GroupMerger::default();
+    for (mut g, m) in subgroups.into_iter().zip(counts) {
+        if inner && m == 0 {
+            continue;
         }
-        let t0 = Instant::now();
-        let extracted = KeyCol::extract(&key_col, JOIN_KEY_MODE);
-        let counts = tables[0].match_counts(&extracted);
-        db.obs().metrics.observe(
-            metric_names::JOIN_PROBE_MS,
-            t0.elapsed().as_secs_f64() * 1e3,
-        );
-        for (i, key) in order.iter().enumerate() {
-            let m = counts[i];
-            if inner && m == 0 {
-                continue;
-            }
-            let eff = if inner { m } else { m.max(1) };
-            let (mut vals, mut accums) = groups.remove(key).expect("subgroup present");
-            for a in &mut accums {
-                a.scale(eff);
-            }
-            let fkey = if pre.key_appended {
-                let mut k = key.clone();
-                k.remove(pre.key_idx);
-                vals.remove(pre.key_idx);
-                k
-            } else {
-                key.clone()
-            };
-            match f_groups.get_mut(&fkey) {
-                Some((_, existing)) => {
-                    for (x, a) in existing.iter_mut().zip(&accums) {
-                        x.merge(a);
-                    }
-                }
-                None => {
-                    f_order.push(fkey.clone());
-                    f_groups.insert(fkey, (vals, accums));
-                }
-            }
+        let eff = if inner { m } else { m.max(1) };
+        for a in &mut g.accums {
+            a.scale(eff);
         }
+        if pre.key_appended {
+            g.key.remove(pre.key_idx);
+            g.vals.remove(pre.key_idx);
+        }
+        merged.push(g);
     }
-
-    if keys.is_empty() && f_order.is_empty() {
-        let needs_values: Vec<bool> = aggs.iter().map(|a| a.kind == AggKind::Median).collect();
-        f_order.push(GroupKey::new());
-        f_groups.insert(
-            GroupKey::new(),
-            (
-                Vec::new(),
-                needs_values.iter().map(|&kv| Accum::new(kv)).collect(),
-            ),
-        );
-    }
-    let fallback = if f_order.is_empty() {
-        Some(empty_joined(db, plan, &plan.joins, tables)?)
-    } else {
-        None
-    };
-    super::exec::assemble_groups(keys, aggs, &f_order, &f_groups, |ki| match &fallback {
-        Some(f) => Ok(keys[ki].1.eval(f)?.dtype()),
-        None => Ok(DType::F64),
-    })
+    Ok(merged.finish())
 }

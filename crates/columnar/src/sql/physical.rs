@@ -28,11 +28,11 @@ use super::exec::ExecStats;
 use super::logical::{and_exprs, LogicalPlan};
 use super::plan::{AggItem, Conjunct, QueryShape, ScanSpec, ZoneFilter};
 use infera_frame::{AggKind, Expr};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One physical table scan: pruned columns plus every conjunct the
 /// optimizer pushed down to it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PhysScan {
     pub spec: ScanSpec,
     /// Conjunction of pushed predicates in scan-local column names.
@@ -43,7 +43,7 @@ pub struct PhysScan {
 }
 
 /// One hash join in execution (probe) order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PhysJoin {
     /// Index of the build-side scan in [`PhysicalPlan::scans`].
     pub scan_idx: usize,
@@ -59,7 +59,7 @@ pub struct PhysJoin {
 
 /// Pre-aggregation below the join: subgroup keys and where the join key
 /// sits among them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PreAgg {
     /// Final group keys plus — if absent — the join key appended.
     pub keys: Vec<(String, Expr)>,
@@ -71,7 +71,7 @@ pub struct PreAgg {
 }
 
 /// The physical plan the morsel executor runs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PhysicalPlan {
     /// All scans; `scans[0]` is the probe-side base table.
     pub scans: Vec<PhysScan>,
@@ -364,8 +364,10 @@ pub struct ExplainActuals {
 impl PhysicalPlan {
     /// Stable hash of the plan: FNV-1a over the canonical JSON
     /// serialization. Derive-generated field order is deterministic, so
-    /// equal plans hash equally across processes and sessions — the
-    /// shard layer keys its fragment cache on this.
+    /// equal plans hash equally across processes and sessions. It costs
+    /// a serialization, so it is computed only where it is shown (the
+    /// shard EXPLAIN) or names something (the gather scratch directory),
+    /// never per query.
     pub fn plan_hash(&self) -> u64 {
         let json = serde_json::to_string(self).unwrap_or_default();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -12,11 +12,11 @@ use super::ast::*;
 use crate::error::{DbError, DbResult};
 use infera_frame::expr::{BinOp, UnaryFn};
 use infera_frame::{AggKind, Expr, Value};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Scan requirements for one table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScanSpec {
     pub table: String,
     /// Columns to read (pruned).
@@ -25,7 +25,7 @@ pub struct ScanSpec {
 
 /// Resolved join description. `scan_idx` indexes [`ResolvedSelect::scans`];
 /// join `i` always scans `scans[i + 1]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct JoinSpec {
     pub scan_idx: usize,
     pub kind: JoinType,
@@ -38,7 +38,7 @@ pub struct JoinSpec {
 }
 
 /// One aggregate output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AggItem {
     pub alias: String,
     pub kind: AggKind,
@@ -47,7 +47,7 @@ pub struct AggItem {
 }
 
 /// Comparison operator of a zone filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CmpOp {
     Lt,
     Le,
@@ -58,7 +58,7 @@ pub enum CmpOp {
 
 /// Literal side of a zone filter: numeric against min/max zone maps,
 /// string against lexicographic zone maps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum ZoneValue {
     Num(f64),
     Str(String),
@@ -66,7 +66,7 @@ pub enum ZoneValue {
 
 /// A pushed-down `column <cmp> literal` conjunct usable for chunk
 /// skipping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ZoneFilter {
     pub column: String,
     pub op: CmpOp,
@@ -106,7 +106,7 @@ impl ZoneFilter {
 }
 
 /// Output shape of the query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum QueryShape {
     /// Row-wise projection: `(output name, expression)` pairs.
     Projection { items: Vec<(String, Expr)> },
@@ -121,7 +121,7 @@ pub enum QueryShape {
 
 /// One top-level AND conjunct of the WHERE clause, classified for
 /// pushdown.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Conjunct {
     /// The conjunct over the fully joined frame (post-join names).
     pub post_join: Expr,
@@ -136,7 +136,7 @@ pub struct Conjunct {
 }
 
 /// A fully resolved SELECT ready for planning.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ResolvedSelect {
     /// Scanned tables; `scans[0]` is the FROM table, `scans[i + 1]` the
     /// table of `joins[i]`.

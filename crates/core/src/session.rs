@@ -26,7 +26,7 @@
 
 use crate::errors::{InferaError, InferaResult};
 use infera_agents::{
-    AgentContext, AgentResult, CancelToken, RunConfig, RunReport, SharedEnsembleCache,
+    AgentContext, CancelToken, RunConfig, RunReport, SharedEnsembleCache,
 };
 use infera_hacc::Manifest;
 use infera_llm::{BehaviorProfile, SemanticLevel};
@@ -313,32 +313,6 @@ impl InferA {
         }
     }
 
-    /// Create a session over an already-generated ensemble.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `InferA::from_manifest(manifest).work_dir(..).config(..).build()`"
-    )]
-    pub fn new(manifest: Manifest, work_dir: &Path, config: SessionConfig) -> InferA {
-        InferA::from_manifest(manifest)
-            .work_dir(work_dir)
-            .config(config)
-            .build()
-            .expect("building from a manifest cannot fail")
-    }
-
-    /// Open a session from an ensemble directory on disk.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `InferA::builder(ensemble_root).work_dir(..).config(..).build()`"
-    )]
-    pub fn open(ensemble_root: &Path, work_dir: &Path, config: SessionConfig) -> AgentResult<InferA> {
-        InferA::builder(ensemble_root)
-            .work_dir(work_dir)
-            .config(config)
-            .build()
-            .map_err(|e| infera_agents::AgentError::Fatal(e.to_string()))
-    }
-
     /// The ensemble manifest.
     pub fn manifest(&self) -> &Manifest {
         &self.manifest
@@ -555,19 +529,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err.kind(), crate::errors::ErrorKind::Ensemble);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work() {
-        let base = std::env::temp_dir().join("infera_session_tests/shims");
-        std::fs::remove_dir_all(&base).ok();
-        let manifest = infera_hacc::generate(&EnsembleSpec::tiny(37), &base.join("ens")).unwrap();
-        let s = InferA::new(manifest, &base.join("work"), SessionConfig::default());
-        assert_eq!(s.manifest().n_sims, 2);
-        let s2 = InferA::open(&base.join("ens"), &base.join("work2"), SessionConfig::default())
-            .unwrap();
-        assert_eq!(s2.manifest().n_sims, 2);
     }
 
     #[test]

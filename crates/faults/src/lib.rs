@@ -51,9 +51,9 @@ pub mod sites {
     pub const CACHE_SHARED: &str = "cache.shared";
     /// Virtual LLM call boundary in the agent workflow.
     pub const LLM_CALL: &str = "llm.call";
-    /// Fragment serialization/dispatch to a shard worker.
+    /// Fragment hand-over to a shard.
     pub const SHARD_SEND: &str = "shard.send";
-    /// Fragment execution on a shard worker.
+    /// Fragment execution on a shard.
     pub const SHARD_EXEC: &str = "shard.exec";
     /// Partial-result merge in the scatter-gather combiner.
     pub const SHARD_MERGE: &str = "shard.merge";

@@ -160,14 +160,12 @@ pub mod names {
 
     // ---- sharded scatter-gather execution ----------------------------------
 
-    /// Plan fragments dispatched to shard workers.
+    /// Plan fragments run on shards (one per shard per scatter).
     pub const SHARD_FRAGMENTS_SENT: &str = "shard.fragments_sent";
     /// Partial groups/rows merged by the scatter-gather combiner.
     pub const SHARD_PARTIALS_MERGED: &str = "shard.partials_merged";
     /// Wall-clock milliseconds spent in the combiner.
     pub const SHARD_COMBINE_MS: &str = "shard.combine_ms";
-    /// Fragment-plan cache hits (plan hash + shard fingerprint).
-    pub const SHARD_PLAN_CACHE_HITS: &str = "shard.plan_cache_hits";
 
     // ---- observability pipeline itself -------------------------------------
 
@@ -237,7 +235,6 @@ pub mod names {
             SHARD_FRAGMENTS_SENT,
             SHARD_PARTIALS_MERGED,
             SHARD_COMBINE_MS,
-            SHARD_PLAN_CACHE_HITS,
             OBS_EVENTS_PUBLISHED,
             OBS_EVENTS_DROPPED,
         ]

@@ -7,9 +7,7 @@
 //! is part of the key *and* a validity guard: pointing the serving
 //! layer at a regenerated ensemble drops every cached report.
 
-use infera_agents::RunReport;
-use parking_lot::RwLock;
-use std::collections::HashMap;
+use infera_agents::{BoundedCache, RunReport};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -27,26 +25,22 @@ pub struct ResultKey {
     pub semantic: String,
 }
 
-/// Bounded map from [`ResultKey`] to finished reports, with hit/miss
-/// counters surfaced as `serve.cache_*` metrics.
+/// Bounded map from [`ResultKey`] to finished reports — a
+/// [`BoundedCache`] (whose `get` / `insert` / `len` / hit and miss
+/// counters it exposes, the counters surfaced as `serve.cache_*`
+/// metrics) plus the fingerprint guard.
 #[derive(Debug)]
 pub struct ResultCache {
-    entries: RwLock<HashMap<ResultKey, Arc<RunReport>>>,
+    entries: BoundedCache<ResultKey, Arc<RunReport>>,
     /// Fingerprint the current entries were computed against.
     fingerprint: AtomicU64,
-    max_entries: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl ResultCache {
     pub fn new(max_entries: usize) -> ResultCache {
         ResultCache {
-            entries: RwLock::new(HashMap::new()),
+            entries: BoundedCache::new(max_entries),
             fingerprint: AtomicU64::new(0),
-            max_entries,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -55,48 +49,15 @@ impl ResultCache {
     /// when entries were invalidated.
     pub fn validate_fingerprint(&self, fingerprint: u64) -> bool {
         let current = self.fingerprint.swap(fingerprint, Ordering::SeqCst);
-        if current != fingerprint {
-            let mut entries = self.entries.write();
-            let dropped = !entries.is_empty();
-            entries.clear();
-            return dropped && current != 0;
-        }
-        false
+        current != fingerprint && self.entries.clear() && current != 0
     }
+}
 
-    pub fn get(&self, key: &ResultKey) -> Option<Arc<RunReport>> {
-        let found = self.entries.read().get(key).cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
+impl std::ops::Deref for ResultCache {
+    type Target = BoundedCache<ResultKey, Arc<RunReport>>;
 
-    /// Insert a finished report. At capacity, new keys are dropped
-    /// (first-landed wins — the entries already cached stay valid).
-    pub fn insert(&self, key: ResultKey, report: Arc<RunReport>) {
-        let mut entries = self.entries.write();
-        if entries.len() >= self.max_entries && !entries.contains_key(&key) {
-            return;
-        }
-        entries.entry(key).or_insert(report);
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.read().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
-    }
-
-    pub fn hit_count(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    pub fn miss_count(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+    fn deref(&self) -> &Self::Target {
+        &self.entries
     }
 }
 

@@ -3,8 +3,7 @@
 //! [`Scheduler::submit`] returns a [`JobHandle`] instead of a bare id —
 //! the caller awaits, polls, cancels, or subscribes through the handle,
 //! and the result is routed to *that* submitter instead of a shared
-//! completion-ordered channel. The old `submit_spec`/`next_result`
-//! polling pair survives as deprecated shims.
+//! completion-ordered channel.
 //!
 //! Delivery is push-based: the worker that finishes a job fills the
 //! handle's slot (waking blocked [`JobHandle::wait`] callers) and sends

@@ -28,8 +28,7 @@
 //!
 //! Submission is handle-based: [`Scheduler::submit`] returns a
 //! [`JobHandle`] the caller awaits, polls, cancels, or streams events
-//! from ([`Scheduler::submit_streaming`]). The old completion-ordered
-//! `next_result` polling surface survives as deprecated shims.
+//! from ([`Scheduler::submit_streaming`]).
 //!
 //! Determinism is load-bearing: a run is seeded by `(session seed, job
 //! salt)` only, so the same job produces a byte-identical report

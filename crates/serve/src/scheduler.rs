@@ -369,14 +369,6 @@ impl Scheduler {
         }
     }
 
-    /// Deprecated shim over [`Scheduler::submit`]: returns the bare job
-    /// id and leaves the result on the shared completion-ordered channel
-    /// ([`Scheduler::next_result`]).
-    #[deprecated(note = "use Scheduler::submit, which returns a typed JobHandle")]
-    pub fn submit_spec(&self, spec: JobSpec) -> Result<u64, RejectReason> {
-        self.submit(spec).map(|handle| handle.id())
-    }
-
     /// Cancel a queued or running job. Queued jobs complete as
     /// `Canceled` when a worker picks them up; running jobs abort at
     /// their next step boundary. Returns `false` for unknown/finished ids.
@@ -390,25 +382,10 @@ impl Scheduler {
         }
     }
 
-    /// Deprecated shim: block until the next finished job (`None` once
-    /// all workers exited and the buffer is drained). New code awaits
-    /// the [`JobHandle`] returned by [`Scheduler::submit`] instead —
-    /// per-job routing, no completion-order coupling.
-    #[deprecated(note = "await the JobHandle returned by Scheduler::submit")]
-    pub fn next_result(&self) -> Option<JobResult> {
-        self.results_rx.lock().recv().ok()
-    }
-
-    /// Deprecated shim: non-blocking result poll. New code uses
-    /// [`JobHandle::try_result`].
-    #[deprecated(note = "poll the JobHandle returned by Scheduler::submit")]
-    pub fn try_next_result(&self) -> Option<JobResult> {
-        self.results_rx.lock().try_recv().ok()
-    }
-
-    /// Drain the legacy completion-ordered channel without blocking.
-    /// Handle-based callers never read it, so a long-lived server must
-    /// empty it periodically or the buffer grows without bound.
+    /// Drain the completion-ordered channel [`Scheduler::shutdown`]
+    /// collects from, without blocking. Handle-based callers never read
+    /// it, so a long-lived server must empty it periodically or the
+    /// buffer grows without bound.
     pub(crate) fn drain_results(&self) -> usize {
         let rx = self.results_rx.lock();
         let mut drained = 0;
@@ -492,9 +469,9 @@ impl Scheduler {
 
     /// Begin a graceful shutdown without consuming the scheduler: new
     /// submissions reject with [`RejectReason::ShuttingDown`], already
-    /// admitted jobs keep draining (results stay collectable via
-    /// [`Scheduler::next_result`]), and pending retry backoffs are
-    /// skipped so the drain finishes promptly.
+    /// admitted jobs keep draining (results stay collectable via their
+    /// handles and [`Scheduler::shutdown`]), and pending retry backoffs
+    /// are skipped so the drain finishes promptly.
     pub fn begin_shutdown(&self) {
         self.shared.shutting_down.store(true, Ordering::Relaxed);
         *self.tx.lock() = None; // workers see a closed queue and exit
@@ -1069,16 +1046,5 @@ mod tests {
             a.is_finished() && b.is_finished(),
             "handles observe drained completions too"
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_polling_shims_still_deliver() {
-        let sched = Scheduler::new(session("shims"), ServeConfig::with_pool(1, 8));
-        let id = sched.submit_spec(JobSpec::new(Q, 1)).unwrap();
-        let result = sched.next_result().expect("legacy channel delivers");
-        assert_eq!(result.id, id);
-        assert!(sched.try_next_result().is_none());
-        sched.shutdown();
     }
 }

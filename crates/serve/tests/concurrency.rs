@@ -154,23 +154,3 @@ fn result_cache_invalidates_on_fingerprint_change() {
     assert_eq!(cache.len(), 0);
     assert!(cache.get(&key(m2.fingerprint())).is_none());
 }
-
-#[test]
-#[allow(deprecated)]
-fn scheduler_results_arrive_via_polling_too() {
-    // The deprecated polling shims must keep working for old callers.
-    let (session, _) = build_session(
-        "polling",
-        SessionConfig::default().with_profile(BehaviorProfile::perfect()),
-    );
-    let sched = Scheduler::new(
-        session,
-        ServeConfig::with_pool(2, 8),
-    );
-    sched.submit_spec(JobSpec::new(QUESTIONS[0], 7)).unwrap();
-    let first = sched.next_result().expect("one result");
-    assert_eq!(first.salt, 7);
-    assert!(first.report().is_some());
-    assert!(sched.try_next_result().is_none());
-    assert!(sched.shutdown().is_empty());
-}

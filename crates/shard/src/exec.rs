@@ -2,12 +2,12 @@
 //!
 //! A [`ShardedDb`] holds one columnar [`Database`] per ensemble
 //! partition (`shard_0000/`, `shard_0001/`, ... under one root, plus a
-//! persisted [`ShardLayout`]). Queries scatter as serialized
-//! [`PlanFragment`]s to each shard, execute over only that shard's
-//! partition, and gather partial results into a combiner that merges
-//! them in shard order — bit-identical to executing the same SQL on a
-//! single database holding all the rows (see the determinism argument
-//! on [`infera_columnar::sql::fragment::combine`]).
+//! persisted [`ShardLayout`]). The shards are in-process sources: a
+//! query's [`PlanFragment`] runs over each shard's partition through the
+//! same `execute_partial` a single database uses, and the same `combine`
+//! merges the runs in shard order — bit-identical to executing the same
+//! SQL on a single database holding all the rows (see the determinism
+//! argument on [`infera_columnar::sql::fragment::combine`]).
 //!
 //! ## Table disposition
 //!
@@ -26,15 +26,16 @@
 //!   database and the query runs serially there. Shard-local joins
 //!   would miss cross-sim key matches, so this is the only safe plan.
 
-use crate::cache::FragmentCache;
 use crate::layout::ShardLayout;
 use infera_columnar::sql::ast::{SelectStmt, Statement};
 use infera_columnar::sql::cost::Stats;
 use infera_columnar::sql::exec::{self as sql_exec};
-use infera_columnar::sql::fragment::{self, FragmentOutput, PlanFragment};
+use infera_columnar::sql::fragment::{self, PlanFragment};
 use infera_columnar::sql::physical::{ExplainActuals, PhysicalPlan};
-use infera_columnar::sql::{logical, parser, physical, plan as sql_plan};
-use infera_columnar::{Database, DbError, DbResult, ExecOutcome, ExecStats, FragmentMode};
+use infera_columnar::sql::{logical, morsel, parser, physical, plan as sql_plan};
+use infera_columnar::{
+    Database, DbError, DbResult, ExecOutcome, ExecStats, FragmentMode, PartialRun,
+};
 use infera_frame::{BinOp, DType, DataFrame, Expr};
 use infera_obs::metric_names;
 use std::borrow::Cow;
@@ -73,12 +74,12 @@ pub struct ShardExecInfo {
     pub shard: usize,
     pub sim_lo: u32,
     pub sim_hi: u32,
-    /// Rows the fragment shipped back (partial groups or rows).
+    /// Partial groups or rows the fragment handed the combiner.
     pub partial_rows: u64,
     pub morsels: u64,
     pub workers: u64,
     pub rows_scanned: u64,
-    /// Wall-clock of this shard's send + execute, milliseconds.
+    /// Wall-clock of this shard's fragment, retries included, milliseconds.
     pub wall_ms: f64,
     /// Transient-failure retries consumed.
     pub retries: u32,
@@ -89,7 +90,7 @@ pub struct ShardExecInfo {
 pub struct ShardRunInfo {
     pub strategy: Strategy,
     pub fragment_mode: Option<FragmentMode>,
-    pub plan_hash: u64,
+    /// Always `false`: there is no fragment cache. Kept for the benchmark.
     pub cache_hit: bool,
     pub est_rows: u64,
     pub per_shard: Vec<ShardExecInfo>,
@@ -103,18 +104,10 @@ pub struct ShardedDb {
     layout: ShardLayout,
     shards: Vec<Database>,
     obs: infera_obs::Obs,
-    cache: FragmentCache,
 }
 
 fn shard_dir(root: &Path, shard: usize) -> PathBuf {
     root.join(format!("shard_{shard:04}"))
-}
-
-/// Cap each shard's morsel pool so N co-resident shard workers don't
-/// oversubscribe one machine.
-fn per_shard_worker_cap(n_shards: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    (cores / n_shards.max(1)).max(1)
 }
 
 impl ShardedDb {
@@ -123,12 +116,10 @@ impl ShardedDb {
         std::fs::create_dir_all(root)
             .map_err(|e| DbError::Io(format!("mkdir {}: {e}", root.display())))?;
         layout.save(root)?;
-        let cap = per_shard_worker_cap(layout.n_shards);
         let mut shards = Vec::with_capacity(layout.n_shards);
         for s in 0..layout.n_shards {
             let mut db = Database::create(&shard_dir(root, s))?;
             db.set_obs(obs.clone());
-            db.worker_cap = Some(cap);
             shards.push(db);
         }
         Ok(ShardedDb {
@@ -136,7 +127,6 @@ impl ShardedDb {
             layout,
             shards,
             obs,
-            cache: FragmentCache::default(),
         })
     }
 
@@ -370,7 +360,7 @@ impl ShardedDb {
             }
         };
         let plan = self.plan_select(&sel)?;
-        let (_, stats, info) = self.run_select(&sel)?;
+        let (_, stats, info) = self.run_planned(&sel, &plan)?;
         let actuals = ExplainActuals {
             stats,
             morsels: info.per_shard.iter().map(|s| s.morsels).sum(),
@@ -409,65 +399,73 @@ impl ShardedDb {
     }
 
     fn run_select(&self, sel: &SelectStmt) -> DbResult<(DataFrame, ExecStats, ShardRunInfo)> {
-        let plan = self.plan_select(sel)?;
-        match self.strategy_for(&plan)? {
-            Strategy::Scatter => self.run_scatter(&plan),
-            Strategy::ShardLocal => {
-                let (frame, stats) = sql_exec::run_select(&self.shards[0], sel)?;
-                let rows = frame.n_rows() as u64;
-                let info = ShardRunInfo {
-                    strategy: Strategy::ShardLocal,
-                    fragment_mode: None,
-                    plan_hash: plan.plan_hash(),
-                    cache_hit: false,
-                    est_rows: plan.est.rows,
-                    per_shard: Vec::new(),
-                    combine_ms: 0.0,
-                    rows_output: rows,
-                };
-                Ok((frame, stats, info))
-            }
-            Strategy::Gather => self.run_gather(sel, &plan),
-        }
+        self.run_planned(sel, &self.plan_select(sel)?)
     }
 
-    /// Scatter the plan as fragments, execute per shard, combine.
+    /// Execute `sel` by its (already chosen) `plan`.
+    fn run_planned(
+        &self,
+        sel: &SelectStmt,
+        plan: &PhysicalPlan,
+    ) -> DbResult<(DataFrame, ExecStats, ShardRunInfo)> {
+        let strategy = self.strategy_for(plan)?;
+        let (frame, stats) = match strategy {
+            Strategy::Scatter => return self.run_scatter(plan),
+            Strategy::ShardLocal => {
+                // Every referenced table is replicated, so the combined
+                // statistics the plan was chosen from are shard 0's own.
+                let run = sql_exec::run_plan(&self.shards[0], plan)?;
+                (run.frame, run.stats)
+            }
+            Strategy::Gather => self.run_gather(sel, plan)?,
+        };
+        let info = ShardRunInfo {
+            strategy,
+            fragment_mode: None,
+            cache_hit: false,
+            est_rows: plan.est.rows,
+            per_shard: Vec::new(),
+            combine_ms: 0.0,
+            rows_output: frame.n_rows() as u64,
+        };
+        Ok((frame, stats, info))
+    }
+
+    /// Run the plan's fragment on every shard, combine the runs.
     fn run_scatter(&self, plan: &PhysicalPlan) -> DbResult<(DataFrame, ExecStats, ShardRunInfo)> {
         let span = self.obs.tracer.span("shard:scatter");
         let frag = PlanFragment::from_plan(plan);
-        let plan_hash = frag.plan_hash();
-        let (wire, cache_hit) =
-            self.cache
-                .get_or_serialize(plan_hash, self.layout.fingerprint(), &frag)?;
-        if cache_hit {
-            self.obs.metrics.inc(metric_names::SHARD_PLAN_CACHE_HITS, 1);
-        }
 
-        let mut outputs: Vec<FragmentOutput> = Vec::with_capacity(self.layout.n_shards);
+        let mut runs: Vec<PartialRun> = Vec::with_capacity(self.layout.n_shards);
         let mut per_shard: Vec<ShardExecInfo> = Vec::with_capacity(self.layout.n_shards);
+        let mut stats = ExecStats::default();
         for spec in &self.layout.shards {
             let t0 = Instant::now();
-            let (out, retries) = self.run_fragment_with_retry(spec.shard, &wire)?;
+            let (run, retries) = self.run_fragment_with_retry(spec.shard, &frag)?;
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
             self.obs.metrics.inc(metric_names::SHARD_FRAGMENTS_SENT, 1);
             per_shard.push(ShardExecInfo {
                 shard: spec.shard,
                 sim_lo: spec.sim_lo,
                 sim_hi: spec.sim_hi,
-                partial_rows: out.payload_rows() as u64,
-                morsels: out.morsels,
-                workers: out.workers,
-                rows_scanned: out.stats.rows_scanned,
+                partial_rows: run.partial_rows() as u64,
+                morsels: run.morsels,
+                workers: run.workers,
+                rows_scanned: run.stats.rows_scanned,
                 wall_ms,
                 retries,
             });
-            outputs.push(out);
+            stats.chunks_total += run.stats.chunks_total;
+            stats.chunks_skipped += run.stats.chunks_skipped;
+            stats.rows_scanned += run.stats.rows_scanned;
+            stats.rows_pruned += run.stats.rows_pruned;
+            runs.push(run);
         }
 
         let t0 = Instant::now();
         // Combine against the *original* plan: the fragment's copy has
         // final-only steps (LIMIT without a safe per-shard head) stripped.
-        let frame = self.combine_with_retry(plan, &outputs)?;
+        let frame = self.combine_with_retry(plan, runs)?;
         let combine_ms = t0.elapsed().as_secs_f64() * 1e3;
         let partials: u64 = per_shard.iter().map(|s| s.partial_rows).sum();
         self.obs
@@ -477,13 +475,6 @@ impl ShardedDb {
             .metrics
             .observe(metric_names::SHARD_COMBINE_MS, combine_ms);
 
-        let mut stats = ExecStats::default();
-        for out in &outputs {
-            stats.chunks_total += out.stats.chunks_total;
-            stats.chunks_skipped += out.stats.chunks_skipped;
-            stats.rows_scanned += out.stats.rows_scanned;
-            stats.rows_pruned += out.stats.rows_pruned;
-        }
         stats.rows_output = frame.n_rows() as u64;
         span.set_attr("shards", self.layout.n_shards as u64);
         span.set_attr("rows_output", stats.rows_output);
@@ -491,8 +482,7 @@ impl ShardedDb {
         let info = ShardRunInfo {
             strategy: Strategy::Scatter,
             fragment_mode: Some(frag.mode),
-            plan_hash,
-            cache_hit,
+            cache_hit: false,
             est_rows: plan.est.rows,
             per_shard,
             combine_ms,
@@ -501,18 +491,18 @@ impl ShardedDb {
         Ok((frame, stats, info))
     }
 
-    /// Send + execute one fragment on one shard, retrying transient
+    /// Hand one fragment to one shard and run it, retrying transient
     /// failures. Corruption (`CorruptChunk` / `Corrupt`) is permanent:
     /// it propagates immediately rather than risking a partial answer.
     fn run_fragment_with_retry(
         &self,
         shard: usize,
-        wire: &str,
-    ) -> DbResult<(FragmentOutput, u32)> {
+        frag: &PlanFragment,
+    ) -> DbResult<(PartialRun, u32)> {
         let mut retries = 0u32;
         loop {
-            match self.run_fragment_once(shard, wire) {
-                Ok(out) => return Ok((out, retries)),
+            match self.run_fragment_once(shard, frag) {
+                Ok(run) => return Ok((run, retries)),
                 Err(e) if is_transient(&e) && retries < FRAGMENT_RETRIES => {
                     retries += 1;
                     self.obs.metrics.inc(metric_names::RETRY_ATTEMPTS, 1);
@@ -527,31 +517,18 @@ impl ShardedDb {
         }
     }
 
-    /// One send → execute → reply round trip through the real wire
-    /// format, with fault-injection sites at each boundary.
-    fn run_fragment_once(&self, shard: usize, wire: &str) -> DbResult<FragmentOutput> {
-        // Send boundary: the fragment bytes leave the combiner.
-        let mut sent = std::borrow::Cow::Borrowed(wire);
-        if let Some(mode) = infera_faults::check(infera_faults::sites::SHARD_SEND) {
+    /// One hand-over → execute round on one shard, with a fault site at
+    /// each step. The fragment is a value in this process, so a failed
+    /// hand-over in any mode is transient (nothing the shard could have
+    /// misread arrived): it is retried.
+    fn run_fragment_once(&self, shard: usize, frag: &PlanFragment) -> DbResult<PartialRun> {
+        if infera_faults::check(infera_faults::sites::SHARD_SEND).is_some() {
             self.obs.metrics.inc(metric_names::FAULT_INJECTED, 1);
-            match mode {
-                infera_faults::FaultMode::Corrupt => {
-                    // A torn transfer: the worker sees garbage and the
-                    // combiner retries the send.
-                    let mut bytes = wire.to_string();
-                    bytes.truncate(bytes.len() / 2);
-                    sent = std::borrow::Cow::Owned(bytes);
-                }
-                _ => {
-                    return Err(DbError::Io(infera_faults::injected_error(
-                        infera_faults::sites::SHARD_SEND,
-                    )))
-                }
-            }
+            return Err(DbError::Io(infera_faults::injected_error(
+                infera_faults::sites::SHARD_SEND,
+            )));
         }
-        let frag = PlanFragment::from_json(&sent)?;
 
-        // Execute boundary: the shard worker runs the fragment.
         if let Some(mode) = infera_faults::check(infera_faults::sites::SHARD_EXEC) {
             self.obs.metrics.inc(metric_names::FAULT_INJECTED, 1);
             match mode {
@@ -573,59 +550,34 @@ impl ShardedDb {
                 }
             }
         }
-        let out = fragment::execute_fragment(&self.shards[shard], &frag)?;
-
-        // Reply boundary: partials come back through the wire format.
-        let reply = out.to_json()?;
-        FragmentOutput::from_json(&reply)
+        morsel::execute_partial(&self.shards[shard], &frag.plan)
     }
 
-    /// Combine shard partials, with a fault site at the merge boundary.
-    fn combine_with_retry(
-        &self,
-        plan: &PhysicalPlan,
-        outputs: &[FragmentOutput],
-    ) -> DbResult<DataFrame> {
+    /// Combine the shards' runs, behind the merge fault site. A transient
+    /// fault there is retried. The combine itself consumes the runs and
+    /// runs once: it is a pure function of in-memory values, so an error
+    /// from it would only repeat.
+    fn combine_with_retry(&self, plan: &PhysicalPlan, runs: Vec<PartialRun>) -> DbResult<DataFrame> {
         let mut retries = 0u32;
-        loop {
-            match self.combine_once(plan, outputs) {
-                Ok(frame) => return Ok(frame),
-                Err(e) if is_transient(&e) && retries < FRAGMENT_RETRIES => {
-                    retries += 1;
-                    self.obs.metrics.inc(metric_names::RETRY_ATTEMPTS, 1);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn combine_once(&self, plan: &PhysicalPlan, outputs: &[FragmentOutput]) -> DbResult<DataFrame> {
-        if let Some(mode) = infera_faults::check(infera_faults::sites::SHARD_MERGE) {
+        while let Some(mode) = infera_faults::check(infera_faults::sites::SHARD_MERGE) {
             self.obs.metrics.inc(metric_names::FAULT_INJECTED, 1);
-            match mode {
-                infera_faults::FaultMode::Corrupt => {
-                    return Err(DbError::Corrupt(infera_faults::injected_error(
-                        infera_faults::sites::SHARD_MERGE,
-                    )))
-                }
-                _ => {
-                    return Err(DbError::Io(infera_faults::injected_error(
-                        infera_faults::sites::SHARD_MERGE,
-                    )))
-                }
+            let reason = infera_faults::injected_error(infera_faults::sites::SHARD_MERGE);
+            if mode == infera_faults::FaultMode::Corrupt {
+                return Err(DbError::Corrupt(reason));
             }
+            if retries == FRAGMENT_RETRIES {
+                return Err(DbError::Io(reason));
+            }
+            retries += 1;
+            self.obs.metrics.inc(metric_names::RETRY_ATTEMPTS, 1);
         }
-        fragment::combine(plan, outputs, &self.shards[0])
+        fragment::combine(plan, runs, &self.shards[0])
     }
 
     /// Gather fallback: merge every referenced table into a scratch
     /// database (partitioned tables concatenated in shard order, which
     /// is the serial row order) and execute there.
-    fn run_gather(
-        &self,
-        sel: &SelectStmt,
-        plan: &PhysicalPlan,
-    ) -> DbResult<(DataFrame, ExecStats, ShardRunInfo)> {
+    fn run_gather(&self, sel: &SelectStmt, plan: &PhysicalPlan) -> DbResult<(DataFrame, ExecStats)> {
         let span = self.obs.tracer.span("shard:gather");
         let scratch_dir = self
             .root
@@ -635,26 +587,13 @@ impl ShardedDb {
         let mut tables: Vec<&str> = plan.scans.iter().map(|s| s.spec.table.as_str()).collect();
         tables.sort_unstable();
         tables.dedup();
-        let result = self.gather_into(&scratch, &tables).and_then(|()| {
-            let (frame, stats) = sql_exec::run_select(&scratch, sel)?;
-            Ok((frame, stats))
-        });
+        let result = self
+            .gather_into(&scratch, &tables)
+            .and_then(|()| sql_exec::run_select(&scratch, sel));
         drop(scratch);
         std::fs::remove_dir_all(&scratch_dir).ok();
-        let (frame, stats) = result?;
         span.set_attr("tables", tables.len() as u64);
-        let rows = frame.n_rows() as u64;
-        let info = ShardRunInfo {
-            strategy: Strategy::Gather,
-            fragment_mode: None,
-            plan_hash: plan.plan_hash(),
-            cache_hit: false,
-            est_rows: plan.est.rows,
-            per_shard: Vec::new(),
-            combine_ms: 0.0,
-            rows_output: rows,
-        };
-        Ok((frame, stats, info))
+        result
     }
 
     fn gather_into(&self, scratch: &Database, tables: &[&str]) -> DbResult<()> {
@@ -713,10 +652,9 @@ fn render_shard_split(plan: &PhysicalPlan, info: &ShardRunInfo) -> String {
     let n = info.per_shard.len();
     out.push_str(&format!(
         "Shard split: scatter-gather over {n} shard(s); base '{}' partitioned by sim; \
-         fragment={mode} plan_hash={:016x}{}\n",
+         fragment={mode} plan_hash={:016x}\n",
         plan.scans[0].spec.table,
-        info.plan_hash,
-        if info.cache_hit { " (fragment cache hit)" } else { "" },
+        plan.plan_hash(),
     ));
     let est_per_shard = info.est_rows / (n.max(1) as u64);
     for s in &info.per_shard {

@@ -3,12 +3,17 @@
 //! every execution strategy (scatter, shard-local, gather fallback),
 //! every shard count 1..=8 (including layouts with empty shards), and
 //! the full query surface: filters, joins, grouped aggregates
-//! (including the value-shipping MEDIAN/FIRST/LAST), projections and
+//! (including the value-carrying MEDIAN/FIRST/LAST), projections and
 //! LIMIT.
 //!
 //! Measures are integer-valued f64 so that sums are exact: bitwise
 //! equality across accumulation orders is only meaningful when the
-//! arithmetic itself is order-independent.
+//! arithmetic itself is order-independent. On top of those the fixture
+//! carries the values a partial result must not lose on its way to the
+//! combiner — `NaN`, `±inf`, `-0.0`, a group that is `NaN` throughout
+//! (its MIN/MAX accumulators rest at `±inf` on every shard) and an `F64`
+//! group key (the `u128` key encoding) — in groups of their own, so the
+//! ordinary groups keep their exact sums.
 
 use infera_columnar::Database;
 use infera_frame::{Column, DataFrame};
@@ -106,12 +111,29 @@ fn halos_frame(n_sims: u32, rows_per_sim: usize) -> DataFrame {
     halos_frame_range(0, n_sims, rows_per_sim, 0x9e37)
 }
 
+/// Masses of the special rows, by tag: `t4` is `NaN` throughout, `t5`
+/// mixes the infinities in, `t6` has `-0.0` as its minimum (and no
+/// `+0.0`, whose tie with it `f64::min` may break either way).
+const T5_MASSES: [f64; 4] = [f64::INFINITY, f64::NAN, f64::NEG_INFINITY, 7.0];
+const T6_MASSES: [f64; 4] = [-0.0, f64::NAN, 7.0, 3.0];
+/// `bin` values of the special rows: `-0.0` and `0.0` are one group key
+/// (shown as whichever came first), `NaN` keys by its bit pattern.
+const SPECIAL_BINS: [f64; 6] = [
+    -0.0,
+    f64::NAN,
+    f64::INFINITY,
+    0.0,
+    f64::NEG_INFINITY,
+    2.5,
+];
+
 fn halos_frame_range(sim_lo: u32, sim_hi: u32, rows_per_sim: usize, salt: u64) -> DataFrame {
     let mut sim = Vec::new();
     let mut step = Vec::new();
     let mut mass = Vec::new();
     let mut npart = Vec::new();
     let mut tag = Vec::new();
+    let mut bin = Vec::new();
     let mut state = salt;
     for s in sim_lo..sim_hi {
         for r in 0..rows_per_sim {
@@ -120,9 +142,25 @@ fn halos_frame_range(sim_lo: u32, sim_hi: u32, rows_per_sim: usize, salt: u64) -
                 .wrapping_add(1442695040888963407);
             sim.push(i64::from(s));
             step.push((r % 3) as i64);
-            mass.push(f64::from((state >> 33) as u32 % 1000));
             npart.push((state >> 17) as i64 % 500);
-            tag.push(format!("t{}", state % 4));
+            // Every fifth row is a special one; which kind varies with the
+            // sim, so a shard may hold a group's NaNs and another its
+            // numbers.
+            let k = s as usize + r / 5;
+            if r % 5 != 4 {
+                mass.push(f64::from((state >> 33) as u32 % 1000));
+                tag.push(format!("t{}", state % 4));
+                bin.push(f64::from((state >> 41) as u32 % 4) * 0.5);
+                continue;
+            }
+            let (t, m) = match k % 3 {
+                0 => (4, f64::NAN),
+                1 => (5, T5_MASSES[k / 3 % 4]),
+                _ => (6, T6_MASSES[k / 3 % 4]),
+            };
+            mass.push(m);
+            tag.push(format!("t{t}"));
+            bin.push(SPECIAL_BINS[k % 6]);
         }
     }
     DataFrame::from_columns([
@@ -131,6 +169,7 @@ fn halos_frame_range(sim_lo: u32, sim_hi: u32, rows_per_sim: usize, salt: u64) -
         ("mass", Column::F64(mass)),
         ("npart", Column::I64(npart)),
         ("tag", Column::Str(tag)),
+        ("bin", Column::F64(bin)),
     ])
     .unwrap()
 }
@@ -166,6 +205,21 @@ const QUERIES: &[&str] = &[
      FROM halos GROUP BY tag ORDER BY tag",
     "SELECT step, MEDIAN(npart) AS med_n, FIRST(sim) AS f, LAST(sim) AS l \
      FROM halos GROUP BY step ORDER BY step",
+    // The special groups (t4 all-NaN, t5 infinities, t6 signed zero):
+    // accumulator rest states, NaN payloads and zero signs must reach the
+    // combiner as they left the shard.
+    "SELECT tag, MIN(mass) AS lo, MAX(mass) AS hi, SUM(mass) AS m, MEDIAN(mass) AS med \
+     FROM halos GROUP BY tag ORDER BY tag",
+    "SELECT tag, COUNT(mass) AS n, FIRST(mass) AS f, LAST(mass) AS l \
+     FROM halos GROUP BY tag ORDER BY tag",
+    "SELECT MIN(mass) AS lo, MAX(mass) AS hi, SUM(mass) AS m, MEDIAN(mass) AS med \
+     FROM halos WHERE tag = 't4'",
+    // F64 group keys (the u128 key encoding), alone and beside a Str
+    // token; no ORDER BY, so the first-seen group order itself is compared.
+    "SELECT bin, COUNT(*) AS n, MIN(mass) AS lo, MAX(mass) AS hi, SUM(npart) AS p, \
+     MEDIAN(mass) AS med, FIRST(mass) AS f, LAST(mass) AS l FROM halos GROUP BY bin",
+    "SELECT bin, tag, COUNT(*) AS n, MAX(mass) AS hi, LAST(npart) AS l \
+     FROM halos GROUP BY bin, tag",
     // Whole-table aggregates, including the zero-row synthesis path.
     "SELECT COUNT(*) AS n, SUM(mass) AS m, MEDIAN(mass) AS med FROM halos",
     "SELECT COUNT(*) AS n, MAX(mass) AS hi, FIRST(mass) AS f FROM halos WHERE mass < -1",
@@ -216,6 +270,41 @@ fn equivalence_with_empty_shards() {
     run_suite(5, 2, 30);
 }
 
+/// The special groups are really there and really special — otherwise the
+/// equivalence above would hold them vacuously.
+#[test]
+fn special_values_reach_the_result() {
+    let pair = Pair::new(3, 6);
+    let halos = halos_frame(6, 40);
+    pair.create_table("halos", &halos.schema());
+    pair.append("halos", &halos);
+    let by_tag = pair
+        .sharded
+        .query(
+            "SELECT tag, COUNT(mass) AS n, MIN(mass) AS lo, MAX(mass) AS hi \
+             FROM halos GROUP BY tag ORDER BY tag",
+        )
+        .unwrap();
+    assert_eq!(by_tag.n_rows(), 7, "t0..t6");
+    let cell = |c: &str, row: usize| by_tag.cell(c, row).unwrap().as_f64().unwrap();
+    // t4: no value ever reached its accumulators.
+    assert!(cell("n", 4) == 0.0 && cell("lo", 4).is_nan() && cell("hi", 4).is_nan());
+    // t5: both infinities; t6: the minimum keeps its sign.
+    assert_eq!((cell("lo", 5), cell("hi", 5)), (f64::NEG_INFINITY, f64::INFINITY));
+    assert_eq!(cell("lo", 6).to_bits(), (-0.0f64).to_bits());
+
+    let by_bin = pair
+        .sharded
+        .query("SELECT bin, COUNT(*) AS n FROM halos GROUP BY bin")
+        .unwrap();
+    let bins: Vec<f64> = (0..by_bin.n_rows())
+        .map(|i| by_bin.cell("bin", i).unwrap().as_f64().unwrap())
+        .collect();
+    assert!(bins.iter().any(|b| b.is_nan()), "{bins:?}");
+    assert!(bins.contains(&f64::INFINITY) && bins.contains(&f64::NEG_INFINITY), "{bins:?}");
+    assert_eq!(bins.iter().filter(|b| **b == 0.0).count(), 1, "±0.0 is one key: {bins:?}");
+}
+
 /// Queries whose result depends on physical row order: FIRST/LAST ship
 /// the first/last value *in append order*, and a LIMIT without a total
 /// ORDER BY picks whichever rows come first. These are bit-identical
@@ -228,6 +317,12 @@ const ORDER_SENSITIVE: &[&str] = &[
     "SELECT step, MEDIAN(npart) AS med_n, FIRST(sim) AS f, LAST(sim) AS l \
      FROM halos GROUP BY step ORDER BY step",
     "SELECT sim, step, mass FROM halos WHERE step = 1 LIMIT 17",
+    "SELECT tag, COUNT(mass) AS n, FIRST(mass) AS f, LAST(mass) AS l \
+     FROM halos GROUP BY tag ORDER BY tag",
+    "SELECT bin, COUNT(*) AS n, MIN(mass) AS lo, MAX(mass) AS hi, SUM(npart) AS p, \
+     MEDIAN(mass) AS med, FIRST(mass) AS f, LAST(mass) AS l FROM halos GROUP BY bin",
+    "SELECT bin, tag, COUNT(*) AS n, MAX(mass) AS hi, LAST(npart) AS l \
+     FROM halos GROUP BY bin, tag",
 ];
 
 #[test]

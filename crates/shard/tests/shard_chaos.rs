@@ -1,8 +1,9 @@
 //! Chaos tests for the shard-worker fault boundary.
 //!
 //! Contract under faults:
-//! * transient failures (injected errors, torn fragment sends) are
-//!   retried and the final answer is bit-identical to the no-fault run;
+//! * transient failures (injected errors, failed fragment hand-overs in
+//!   any mode) are retried and the final answer is bit-identical to the
+//!   no-fault run;
 //! * permanent corruption of a shard's partition surfaces as a typed
 //!   [`DbError::CorruptChunk`]-class error — **never** a partial
 //!   answer;
@@ -102,12 +103,23 @@ fn faults_retry_or_fail_typed_never_partial() {
     );
     infera_faults::clear();
 
-    // 2. Torn send (corrupt wire bytes): deserialization fails on the
-    //    worker, the combiner re-sends, digest unchanged.
+    // 2. Corrupt-mode send: the fragment is a value in this process, so
+    //    there are no bytes to tear — the hand-over fails as a transient
+    //    error, the combiner hands it over again, digest unchanged.
     install("seed=7;shard.send=nth1:corrupt");
     let (frame, _, info) = db.query_traced(SQL).unwrap();
     assert_eq!(digest(&frame), anchor, "torn send retried");
     assert!(info.per_shard.iter().any(|s| s.retries > 0));
+    infera_faults::clear();
+    //    Persisting, it exhausts the retries like any transient error.
+    install("seed=7;shard.send=every1:corrupt");
+    let before = obs.metrics.counter(infera_obs::metric_names::RETRY_EXHAUSTED);
+    let err = db.query(SQL).unwrap_err();
+    assert!(
+        matches!(err, DbError::Io(ref m) if m.contains(infera_faults::INJECTED_MARKER)),
+        "a hand-over that keeps failing surfaces the injected error: {err:?}"
+    );
+    assert!(obs.metrics.counter(infera_obs::metric_names::RETRY_EXHAUSTED) > before);
     infera_faults::clear();
 
     // 3. Transient execute failure on a shard: retried, digest unchanged.
