@@ -6,18 +6,21 @@
 //! the same stream observable *live*: a [`Tracer`] with an attached bus
 //! (see [`Tracer::attach_bus`]) publishes every span open, span close,
 //! and point event as it happens, and any number of subscribers consume
-//! them through bounded channels.
+//! them through bounded queues.
 //!
 //! Backpressure semantics are drop-not-block, chosen for the hot path:
 //!
 //! * publishing never blocks and never allocates when nobody listens —
 //!   [`EventBus::is_active`] is a single relaxed atomic load;
-//! * each subscriber owns a **bounded** channel sized at subscribe time.
-//!   A full channel drops the event *for that subscriber only* and
-//!   counts the drop (per-subscriber via [`Subscription::dropped`],
-//!   process-wide via [`EventBus::events_dropped`], exported as the
-//!   `obs.events_dropped` counter). A slow dashboard can never stall a
-//!   serve worker;
+//! * each subscriber owns a queue **bounded** at subscribe time — an
+//!   unbounded channel paired with a count of the events in it, so the
+//!   bound costs nothing until events arrive (a ring of `capacity` slots
+//!   would be written once per subscription: 0.9 MB at the serving
+//!   layer's 8 192). A full queue drops the event *for that subscriber
+//!   only* and counts the drop (per-subscriber via
+//!   [`Subscription::dropped`], process-wide via
+//!   [`EventBus::events_dropped`], exported as the `obs.events_dropped`
+//!   counter). A slow dashboard can never stall a serve worker;
 //! * a dropped [`Subscription`] is detected on the next publish and
 //!   unregistered.
 //!
@@ -32,8 +35,8 @@ use crate::trace::AttrValue;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -112,9 +115,22 @@ impl BusEvent {
     }
 }
 
+/// What a subscription and its slot on the bus share.
+#[derive(Default)]
+struct SubscriberState {
+    /// Events sent and not yet received. Raised by the publisher (one at
+    /// a time, under the subscriber list's lock) before the send, lowered
+    /// by the subscriber after a receive: it never exceeds the capacity
+    /// and never underflows. It guards no data — the channel orders the
+    /// events — so `Relaxed` suffices.
+    depth: AtomicUsize,
+    dropped: AtomicU64,
+}
+
 struct SubscriberSlot {
-    tx: SyncSender<BusEvent>,
-    dropped: Arc<AtomicU64>,
+    tx: Sender<BusEvent>,
+    capacity: usize,
+    state: Arc<SubscriberState>,
 }
 
 struct BusInner {
@@ -168,23 +184,24 @@ impl EventBus {
         self.inner.active.load(Ordering::Relaxed)
     }
 
-    /// Register a subscriber with a channel bounded at `capacity`
-    /// events. Events published while the channel is full are dropped
-    /// for this subscriber and counted, never blocked on.
+    /// Register a subscriber with a queue bounded at `capacity` events.
+    /// Events published while it holds that many are dropped for this
+    /// subscriber and counted, never blocked on.
     pub fn subscribe(&self, capacity: usize) -> Subscription {
-        let (tx, rx) = std::sync::mpsc::sync_channel(capacity.max(1));
-        let dropped = Arc::new(AtomicU64::new(0));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let state = Arc::new(SubscriberState::default());
         let mut subs = self.inner.subscribers.lock();
         subs.push(SubscriberSlot {
             tx,
-            dropped: dropped.clone(),
+            capacity: capacity.max(1),
+            state: state.clone(),
         });
         self.inner.active.store(true, Ordering::Relaxed);
-        Subscription { rx, dropped }
+        Subscription { rx, state }
     }
 
     /// Publish an event to every live subscriber. Full subscriber
-    /// channels drop (and count); disconnected subscribers are pruned.
+    /// queues drop (and count); disconnected subscribers are pruned.
     /// No-op when nobody is subscribed.
     pub fn publish(&self, at_us: u64, run: &BTreeMap<String, AttrValue>, kind: BusEventKind) {
         if !self.is_active() {
@@ -202,14 +219,20 @@ impl EventBus {
             run: run.clone(),
             kind,
         };
-        subs.retain(|slot| match slot.tx.try_send(event.clone()) {
-            Ok(()) => true,
-            Err(TrySendError::Full(_)) => {
-                slot.dropped.fetch_add(1, Ordering::Relaxed);
-                self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-                true
+        subs.retain(|slot| {
+            if slot.state.depth.load(Ordering::Relaxed) < slot.capacity {
+                slot.state.depth.fetch_add(1, Ordering::Relaxed);
+                // A send fails only when the subscription was dropped.
+                return slot.tx.send(event.clone()).is_ok();
             }
-            Err(TrySendError::Disconnected(_)) => false,
+            // Full, so nothing is sent and a dropped subscription shows
+            // only as the shared state having no other owner.
+            if Arc::strong_count(&slot.state) == 1 {
+                return false;
+            }
+            slot.state.dropped.fetch_add(1, Ordering::Relaxed);
+            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
+            true
         });
         if subs.is_empty() {
             self.inner.active.store(false, Ordering::Relaxed);
@@ -254,32 +277,36 @@ impl EventBus {
 /// unregisters it (detected at the next publish).
 pub struct Subscription {
     rx: Receiver<BusEvent>,
-    dropped: Arc<AtomicU64>,
+    state: Arc<SubscriberState>,
 }
 
 impl Subscription {
+    /// A received event frees its place in the queue.
+    fn received(&self, event: Option<BusEvent>) -> Option<BusEvent> {
+        if event.is_some() {
+            self.state.depth.fetch_sub(1, Ordering::Relaxed);
+        }
+        event
+    }
+
     /// Next buffered event, if any (non-blocking).
     pub fn try_recv(&self) -> Option<BusEvent> {
-        self.rx.try_recv().ok()
+        self.received(self.rx.try_recv().ok())
     }
 
     /// Block up to `timeout` for the next event.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<BusEvent> {
-        self.rx.recv_timeout(timeout).ok()
+        self.received(self.rx.recv_timeout(timeout).ok())
     }
 
     /// Drain everything currently buffered.
     pub fn drain(&self) -> Vec<BusEvent> {
-        let mut out = Vec::new();
-        while let Ok(ev) = self.rx.try_recv() {
-            out.push(ev);
-        }
-        out
+        std::iter::from_fn(|| self.try_recv()).collect()
     }
 
-    /// Events dropped for this subscriber because its channel was full.
+    /// Events dropped for this subscriber because its queue was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.state.dropped.load(Ordering::Relaxed)
     }
 }
 
@@ -351,6 +378,45 @@ mod tests {
         assert_eq!(fast.drain().len(), 8);
         assert_eq!(fast.dropped(), 0);
         assert_eq!(slow.dropped(), 7);
+    }
+
+    #[test]
+    fn receiving_frees_capacity() {
+        let bus = EventBus::new();
+        let sub = bus.subscribe(2);
+        for i in 0..3 {
+            bus.publish(i, &BTreeMap::new(), point("e"));
+        }
+        assert_eq!(sub.dropped(), 1, "the third found the queue full");
+        assert_eq!(sub.try_recv().map(|ev| ev.seq), Some(0));
+        bus.publish(3, &BTreeMap::new(), point("e"));
+        assert_eq!(sub.dropped(), 1, "one received, one place free");
+        bus.publish(4, &BTreeMap::new(), point("e"));
+        assert_eq!(sub.dropped(), 2);
+        let timeout = Duration::from_secs(5);
+        assert_eq!(sub.recv_timeout(timeout).map(|ev| ev.seq), Some(1));
+        assert_eq!(sub.drain().len(), 1);
+        // Every way of receiving gave its place back.
+        for i in 5..7 {
+            bus.publish(i, &BTreeMap::new(), point("e"));
+        }
+        assert_eq!(sub.dropped(), 2);
+        assert_eq!(bus.events_dropped(), 2);
+        let seqs: Vec<u64> = sub.drain().iter().map(|ev| ev.seq).collect();
+        assert_eq!(seqs, [5, 6]);
+    }
+
+    #[test]
+    fn full_and_dropped_subscription_is_still_pruned() {
+        let bus = EventBus::new();
+        let sub = bus.subscribe(1);
+        bus.publish(0, &BTreeMap::new(), point("a"));
+        bus.publish(1, &BTreeMap::new(), point("b"));
+        assert_eq!(bus.events_dropped(), 1, "full while alive: a counted drop");
+        drop(sub);
+        bus.publish(2, &BTreeMap::new(), point("c"));
+        assert!(!bus.is_active(), "full and gone: pruned, not kept as slow");
+        assert_eq!(bus.events_dropped(), 1, "a pruned subscriber drops nothing");
     }
 
     #[test]

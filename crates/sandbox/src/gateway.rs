@@ -13,10 +13,10 @@ use crate::error::{ErrorKind, SandboxError, SandboxResult};
 use crate::interp::{run_program, StepLog};
 use crate::lang::parse_program;
 use crate::tool::ToolRegistry;
-use crossbeam::channel;
 use infera_frame::DataFrame;
 use infera_obs::{metric_names, Obs};
 use std::collections::HashMap;
+use std::sync::mpsc;
 use std::time::Duration;
 
 /// A code-execution request.
@@ -91,7 +91,7 @@ impl SandboxServer {
         };
         span.set_attr("statements", stmts.len());
         let tools = self.tools.clone();
-        let (tx, rx) = channel::bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         std::thread::Builder::new()
             .name("infera-sandbox-worker".into())
             .spawn(move || {

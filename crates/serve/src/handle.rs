@@ -6,7 +6,7 @@
 //! completion-ordered channel.
 //!
 //! Delivery is push-based: the worker that finishes a job fills the
-//! handle's slot (waking blocked [`JobHandle::wait`] callers) and sends
+//! handle's slot (waking blocked [`JobHandle::wait`] callers) and hands
 //! a copy to every watcher registered via [`JobHandle::notify`] — the
 //! mechanism the network server uses to route completions onto the
 //! submitting client's connection without polling.
@@ -14,7 +14,6 @@
 //! [`Scheduler::submit`]: crate::Scheduler::submit
 
 use crate::job::JobResult;
-use crossbeam::channel::Sender;
 use infera_agents::CancelToken;
 use infera_obs::{BusEvent, Subscription};
 use std::sync::{Arc, Condvar, Mutex};
@@ -23,18 +22,20 @@ use std::time::{Duration, Instant};
 /// Shared completion slot between a queued job and its handle.
 ///
 /// Workers complete the slot exactly once; handles wait on it. Watchers
-/// registered before completion receive the result on the worker
-/// thread; watchers registered after receive it immediately.
+/// registered before completion are called with the result on the
+/// worker thread; watchers registered after are called immediately.
 #[derive(Default)]
 pub(crate) struct JobSlot {
     state: Mutex<SlotState>,
     cond: Condvar,
 }
 
+type Watcher = Box<dyn FnOnce(JobResult) + Send>;
+
 #[derive(Default)]
 struct SlotState {
     result: Option<JobResult>,
-    watchers: Vec<Sender<JobResult>>,
+    watchers: Vec<Watcher>,
 }
 
 impl JobSlot {
@@ -53,8 +54,8 @@ impl JobSlot {
             watchers
         };
         self.cond.notify_all();
-        for tx in watchers {
-            let _ = tx.send(result.clone());
+        for watcher in watchers {
+            watcher(result.clone());
         }
     }
 
@@ -89,21 +90,20 @@ impl JobSlot {
         }
     }
 
-    /// Register a watcher; delivers immediately if already complete.
-    fn notify(&self, tx: Sender<JobResult>) {
+    /// Register a watcher; calls it immediately if already complete
+    /// (outside the slot lock either way).
+    fn notify(&self, watcher: Watcher) {
         let done = {
             let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
             match &state.result {
-                Some(result) => Some(result.clone()),
+                Some(result) => result.clone(),
                 None => {
-                    state.watchers.push(tx.clone());
-                    None
+                    state.watchers.push(watcher);
+                    return;
                 }
             }
         };
-        if let Some(result) = done {
-            let _ = tx.send(result);
-        }
+        watcher(done);
     }
 }
 
@@ -176,12 +176,13 @@ impl JobHandle {
         self.cancel.cancel();
     }
 
-    /// Register a completion watcher: `tx` receives a copy of the
-    /// terminal [`JobResult`] when (or immediately, if it already has)
-    /// the job finishes. The network server registers the submitting
-    /// connection's channel here.
-    pub fn notify(&self, tx: Sender<JobResult>) {
-        self.slot.notify(tx);
+    /// Register a completion watcher: `watcher` is called once with a
+    /// copy of the terminal [`JobResult`] when the job finishes — on the
+    /// worker thread — or immediately, on the calling thread, if it
+    /// already has. It must not block: the network server registers a
+    /// send into the submitting connection's channel here.
+    pub fn notify(&self, watcher: impl FnOnce(JobResult) + Send + 'static) {
+        self.slot.notify(Box::new(watcher));
     }
 
     /// The job-scoped event stream, present when the job was submitted
@@ -307,11 +308,11 @@ mod tests {
     #[test]
     fn watcher_registered_before_and_after_completion_both_deliver() {
         let slot = JobSlot::new();
-        let (early_tx, early_rx) = crossbeam::channel::unbounded();
-        slot.notify(early_tx);
+        let (early_tx, early_rx) = std::sync::mpsc::channel();
+        slot.notify(Box::new(move |r| early_tx.send(r).unwrap()));
         slot.complete(result(9));
-        let (late_tx, late_rx) = crossbeam::channel::unbounded();
-        slot.notify(late_tx);
+        let (late_tx, late_rx) = std::sync::mpsc::channel();
+        slot.notify(Box::new(move |r| late_tx.send(r).unwrap()));
         assert_eq!(early_rx.try_recv().unwrap().id, 9);
         assert_eq!(late_rx.try_recv().unwrap().id, 9);
     }

@@ -16,12 +16,12 @@ use super::protocol::{
     decode_response, encode_request, Event, JobDone, RejectCode, Request, Response,
     PROTOCOL_VERSION,
 };
-use crossbeam::channel::{self, Receiver, Sender};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Client configuration.
 #[derive(Debug, Clone)]
@@ -108,10 +108,10 @@ impl Client {
         let read_half = stream
             .try_clone()
             .map_err(|e| ConnectError::Io(format!("clone stream: {e}")))?;
-        let (submit_tx, submit_rx) = channel::unbounded();
-        let (done_tx, done_rx) = channel::unbounded();
-        let (event_tx, event_rx) = channel::unbounded();
-        let (control_tx, control_rx) = channel::unbounded();
+        let (submit_tx, submit_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        let (event_tx, event_rx) = mpsc::channel();
+        let (control_tx, control_rx) = mpsc::channel();
         let events_seen = Arc::new(AtomicU64::new(0));
         let goodbye = Arc::new(AtomicBool::new(false));
         let reader = {
@@ -261,14 +261,20 @@ impl Client {
         self.goodbye.load(Ordering::Relaxed)
     }
 
-    /// Orderly close: send `Bye`, wait briefly for the `Goodbye`, drop.
+    /// Orderly close: send `Bye`, wait for the server's `Goodbye` (up to
+    /// the control timeout, and no longer than the connection lives: the
+    /// reader closes the control channel when the server goes away), drop.
     pub fn bye(mut self) {
-        if self.write_request(&Request::Bye).is_ok() {
-            let deadline = std::time::Instant::now() + self.control_timeout;
-            while !self.goodbye.load(Ordering::Relaxed)
-                && std::time::Instant::now() < deadline
-            {
-                std::thread::sleep(Duration::from_millis(5));
+        if self.goodbye_received() || self.write_request(&Request::Bye).is_err() {
+            return;
+        }
+        let deadline = Instant::now() + self.control_timeout;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.control_rx.recv_timeout(left) {
+                Ok(Response::Goodbye { .. }) | Err(_) => return,
+                // A reply to an earlier request nobody waited for.
+                Ok(_) => {}
             }
         }
     }

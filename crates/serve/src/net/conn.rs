@@ -18,7 +18,11 @@
 //!   completion (routed via [`JobHandle::notify`]), flushes the job's
 //!   remaining events and writes the terminal [`Response::Done`]. The
 //!   scheduler publishes a job's terminal bus event before completing
-//!   its slot, so the drain-then-`Done` order loses nothing.
+//!   its slot, so the drain-then-`Done` order loses nothing. The pump
+//!   blocks on its one channel, which a worker's completion and the
+//!   reader's "a streaming job was registered" both write to; only while
+//!   a streaming job is in flight does it wake every `PUMP_TICK` (2 ms) to
+//!   poll the job's event subscription.
 //!
 //! Reader EOF or a broken writer ends the connection; with
 //! [`ConnOptions::cancel_on_eof`] every in-flight job is canceled
@@ -40,18 +44,26 @@ use super::protocol::{
 use crate::handle::{JobEvents, JobHandle};
 use crate::job::{JobResult, JobSpec};
 use crate::scheduler::Scheduler;
-use crossbeam::channel::RecvTimeoutError;
 use infera_llm::SemanticLevel;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How long an idle pump waits for a completion before it polls the
-/// streaming jobs' event subscriptions again.
+/// How long a pump with a streaming job in flight waits for a completion
+/// before it polls the event subscriptions again.
 const PUMP_TICK: Duration = Duration::from_millis(2);
+
+/// What ends a pump's wait.
+enum PumpWake {
+    /// A job of this connection finished (sent by the worker).
+    Done(JobResult),
+    /// The reader registered a streaming job: its events need polling.
+    Stream,
+}
 
 /// Per-connection behavior knobs (transport-specific defaults live on
 /// the server / CLI).
@@ -183,10 +195,10 @@ where
         events_sent: AtomicU64::new(0),
         completed: AtomicU64::new(0),
     });
-    let (done_tx, done_rx) = crossbeam::channel::unbounded::<JobResult>();
+    let (wake_tx, wake_rx) = mpsc::channel::<PumpWake>();
     let pump = {
         let shared = shared.clone();
-        std::thread::spawn(move || pump_loop(&shared, &done_rx))
+        std::thread::spawn(move || pump_loop(&shared, &wake_rx))
     };
 
     let mut stats = ConnStats::default();
@@ -318,8 +330,12 @@ where
                         let mut jobs = shared.jobs.lock();
                         if let Some(stream) = stream {
                             jobs.streams.insert(handle.id(), stream);
+                            let _ = wake_tx.send(PumpWake::Stream);
                         }
-                        handle.notify(done_tx.clone());
+                        let done_tx = wake_tx.clone();
+                        handle.notify(move |result| {
+                            let _ = done_tx.send(PumpWake::Done(result));
+                        });
                         jobs.inflight.insert(handle.id(), handle);
                     }
                     Err(reason) => {
@@ -369,17 +385,16 @@ where
         }
     }
     shared.reader_done.store(true, Ordering::Relaxed);
-    drop(done_tx);
+    // The last sender but the ones in-flight jobs hold: once those have
+    // completed, the pump's wait ends disconnected.
+    drop(wake_tx);
     let _ = pump.join();
     stats.events_sent = shared.events_sent.load(Ordering::Relaxed);
     stats.completed = shared.completed.load(Ordering::Relaxed);
     stats
 }
 
-fn pump_loop<W: Write + Send>(
-    shared: &ConnShared<W>,
-    done_rx: &crossbeam::channel::Receiver<JobResult>,
-) {
+fn pump_loop<W: Write + Send>(shared: &ConnShared<W>, wake_rx: &mpsc::Receiver<PumpWake>) {
     // A completion: flush the job's buffered events, then the terminal
     // Done. The scheduler publishes the terminal bus event before
     // completing the slot, so the stream is whole.
@@ -395,12 +410,15 @@ fn pump_loop<W: Write + Send>(
     loop {
         let mut wrote = false;
         // Completions first.
-        while let Ok(result) = done_rx.try_recv() {
-            deliver(result);
-            wrote = true;
+        while let Ok(wake) = wake_rx.try_recv() {
+            if let PumpWake::Done(result) = wake {
+                deliver(result);
+                wrote = true;
+            }
         }
         // Then live progress for still-running streaming jobs.
         let ids: Vec<u64> = shared.jobs.lock().streams.keys().copied().collect();
+        let streaming = !ids.is_empty();
         for id in ids {
             // Pull each event outside the table lock: send() blocks on
             // the writer, and the reader needs the table for submits.
@@ -421,7 +439,7 @@ fn pump_loop<W: Write + Send>(
             break;
         }
         if !wrote {
-            // A pending done_rx entry implies its job is still in
+            // A pending completion implies its job is still in
             // `inflight` (removal happens after its Done is written), so
             // an empty table means everything was delivered.
             let reader_done = shared.reader_done.load(Ordering::Relaxed);
@@ -429,11 +447,17 @@ fn pump_loop<W: Write + Send>(
                 break;
             }
             // Idle. A completion ends the wait at once, so a `Done` never
-            // sits out a tick; the tick only paces the event poll and the
-            // exit check above.
-            match done_rx.recv_timeout(PUMP_TICK) {
-                Ok(result) => deliver(result),
-                Err(RecvTimeoutError::Timeout) => {}
+            // sits out a tick; the tick only paces the event poll, and
+            // with no stream polled above the wait has no deadline — one
+            // registered since is announced on the channel.
+            let wake = if streaming {
+                wake_rx.recv_timeout(PUMP_TICK)
+            } else {
+                wake_rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
+            };
+            match wake {
+                Ok(PumpWake::Done(result)) => deliver(result),
+                Ok(PumpWake::Stream) | Err(RecvTimeoutError::Timeout) => {}
                 // Reader gone and every watched job delivered.
                 Err(RecvTimeoutError::Disconnected) => break,
             }

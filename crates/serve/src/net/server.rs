@@ -1,10 +1,11 @@
 //! [`NetServer`]: the thread-per-connection TCP front end.
 //!
-//! An accept loop hands each connection to [`conn::run_connection`] on
-//! its own thread; sockets get a short read timeout so reader loops can
-//! observe server state between lines. Admission, caching, breaking,
-//! retries, and event streaming all live in the scheduler/conn layers —
-//! this module only owns sockets and lifecycle:
+//! An accept loop blocks in `accept` and hands each connection to
+//! [`conn::run_connection`] on its own thread; sockets get a short read
+//! timeout so reader loops can observe server state between lines.
+//! Admission, caching, breaking, retries, and event streaming all live
+//! in the scheduler/conn layers — this module only owns sockets and
+//! lifecycle:
 //!
 //! * **Graceful drain** ([`NetServer::begin_shutdown`]): new
 //!   connections are greeted with `Goodbye { code: ShuttingDown }` and
@@ -12,27 +13,31 @@
 //!   way (the scheduler is draining); accepted jobs run to completion
 //!   and their `Done` lines still reach their clients. Zero accepted
 //!   jobs are lost.
-//! * **Hard stop** (the tail of [`NetServer::shutdown`]): after the
-//!   drain, connection readers are told to stop, each sends a final
-//!   `Goodbye`, pumps flush, and every thread is joined.
+//! * **Hard stop** (the tail of [`NetServer::shutdown`], and all of
+//!   `Drop`): connection readers are told to stop, each sends a final
+//!   `Goodbye`, pumps flush, and every thread is joined. The accept loop
+//!   is woken from `accept` by a connection the server makes to itself,
+//!   the reaper by its stop channel closing.
 //! * **Disconnect cancels**: a client that goes away takes its
 //!   in-flight jobs with it via the `CancelToken` path
 //!   ([`ConnOptions::cancel_on_eof`]).
 //!
-//! A small reaper thread keeps the scheduler's legacy completion
-//! channel empty — handle-based delivery means nobody else reads it,
-//! and a long-lived server must not let it grow unbounded.
+//! A small reaper thread empties the scheduler's completion-ordered
+//! channel every 200 ms: connections are served through handles, so
+//! nobody else reads it while the server runs, and a long-lived server
+//! must not let it grow without bound.
 //!
 //! [`ConnOptions::cancel_on_eof`]: super::conn::ConnOptions
 
 use super::conn::{self, ConnOptions, ConnStats};
 use super::protocol::{encode_response, RejectCode, Response};
-use crate::scheduler::{metric_names, Scheduler};
+use crate::scheduler::Scheduler;
 use infera_core::{InferaError, InferaResult};
 use parking_lot::Mutex;
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -100,12 +105,16 @@ impl ServerState {
 
 /// The running TCP front end. Bind with [`NetServer::bind`]; stop with
 /// [`NetServer::shutdown`] (graceful: drains accepted jobs first).
+/// Dropping it is the hard stop alone: in-flight jobs are canceled with
+/// their connections, the port and the scheduler are released.
 pub struct NetServer {
     scheduler: Arc<Scheduler>,
     state: Arc<ServerState>,
     local_addr: SocketAddr,
     accept_thread: Option<JoinHandle<()>>,
     reaper: Option<JoinHandle<()>>,
+    /// Dropped to end the reaper's nap.
+    reaper_stop: Option<mpsc::Sender<()>>,
 }
 
 impl NetServer {
@@ -121,9 +130,6 @@ impl NetServer {
         let local_addr = listener
             .local_addr()
             .map_err(|e| InferaError::internal(format!("local_addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| InferaError::internal(format!("set_nonblocking: {e}")))?;
         let state = Arc::new(ServerState {
             draining: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
@@ -139,17 +145,19 @@ impl NetServer {
                 .spawn(move || accept_loop(&listener, &scheduler, &state, &config))
                 .map_err(|e| InferaError::internal(format!("spawn accept loop: {e}")))?
         };
+        let (reaper_stop, stopped) = mpsc::channel::<()>();
         let reaper = {
             let scheduler = scheduler.clone();
-            let state = state.clone();
             std::thread::Builder::new()
                 .name("infera-net-reaper".to_string())
                 .spawn(move || {
-                    // Keep the legacy completion channel empty: results
+                    // Keep the completion-ordered channel empty: results
                     // are delivered through handles, nobody reads it.
-                    while !state.stopping.load(Ordering::Relaxed) {
+                    // Nothing is ever sent on `stopped`; it disconnects.
+                    while let Err(RecvTimeoutError::Timeout) =
+                        stopped.recv_timeout(Duration::from_millis(200))
+                    {
                         scheduler.drain_results();
-                        std::thread::sleep(Duration::from_millis(200));
                     }
                 })
                 .map_err(|e| InferaError::internal(format!("spawn reaper: {e}")))?
@@ -160,6 +168,7 @@ impl NetServer {
             local_addr,
             accept_thread: Some(accept_thread),
             reaper: Some(reaper),
+            reaper_stop: Some(reaper_stop),
         })
     }
 
@@ -190,20 +199,12 @@ impl NetServer {
         self.state.refused_draining.load(Ordering::Relaxed)
     }
 
-    /// Block until every accepted job has completed (accepted ==
-    /// completed on the scheduler's counters). Call after
-    /// [`NetServer::begin_shutdown`]; new work can't arrive, so the
-    /// counters only converge.
+    /// Block until every accepted job has completed (the scheduler's
+    /// in-flight table is empty; the worker that empties it wakes this
+    /// wait). Call after [`NetServer::begin_shutdown`]: new work can't
+    /// arrive, so the table only empties.
     pub fn await_drain(&self) {
-        let metrics = self.scheduler.metrics();
-        loop {
-            let accepted = metrics.counter(metric_names::JOBS_ACCEPTED);
-            let completed = metrics.counter(metric_names::JOBS_COMPLETED);
-            if completed >= accepted {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        self.scheduler.wait_idle();
     }
 
     /// Graceful shutdown: drain accepted jobs, let pumps flush their
@@ -213,17 +214,42 @@ impl NetServer {
     pub fn shutdown(mut self) -> ServerStats {
         self.begin_shutdown();
         self.await_drain();
-        self.state.stopping.store(true, Ordering::Relaxed);
+        self.hard_stop();
+        self.scheduler.drain_results();
+        let mut stats = self.state.totals.lock().clone();
+        stats.refused_draining = self.state.refused_draining.load(Ordering::Relaxed);
+        stats
+    }
+
+    /// Stop accepting, tell every connection reader to say `Goodbye`,
+    /// and join the accept loop (which joins the connections) and the
+    /// reaper. A second call finds nothing left to stop.
+    fn hard_stop(&mut self) {
+        self.state.stopping.store(true, Ordering::SeqCst);
+        self.reaper_stop = None;
         if let Some(handle) = self.accept_thread.take() {
+            // The accept loop is blocked in `accept` and reads `stopping`
+            // as soon as a connection arrives: make one. A wildcard bind
+            // is reached through loopback.
+            let mut addr = self.local_addr;
+            if addr.ip().is_unspecified() {
+                addr.set_ip(match addr {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(addr);
             let _ = handle.join();
         }
         if let Some(handle) = self.reaper.take() {
             let _ = handle.join();
         }
-        self.scheduler.drain_results();
-        let mut stats = self.state.totals.lock().clone();
-        stats.refused_draining = self.state.refused_draining.load(Ordering::Relaxed);
-        stats
+    }
+}
+
+impl Drop for NetServer {
+    fn drop(&mut self) {
+        self.hard_stop();
     }
 }
 
@@ -234,8 +260,16 @@ fn accept_loop(
     config: &NetServerConfig,
 ) {
     let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
-    while !state.stopping.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Before the draining branch: the connection that ends the wait of
+        // a stopping server is its own (`NetServer::hard_stop`), and a
+        // polite refusal would hold the stop for `refuse_draining`'s
+        // deadline.
+        if state.stopping.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 if state.draining.load(Ordering::Relaxed) {
                     refuse_draining(stream, state);
@@ -264,9 +298,8 @@ fn accept_loop(
                     }
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // Out of descriptors, or a connection reset in the backlog:
+            // don't spin on it.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
         // Prune finished connection threads so a long-lived server

@@ -52,7 +52,6 @@ use crate::handle::{JobEvents, JobHandle, JobSlot};
 use crate::job::{JobResult, JobSpec, JobStatus, RejectReason};
 use crate::resilience::{is_transient, BreakerConfig, CircuitBreaker, RetryPolicy};
 use crate::telemetry::{self, event_names};
-use crossbeam::channel::{self, TrySendError};
 use infera_agents::CancelToken;
 use infera_core::{
     estimate_semantic_level, AskOptions, ErrorKind, InferA, InferaError, InferaResult,
@@ -61,7 +60,8 @@ use infera_obs::{AttrValue, EventBus, GlobalMetrics, MetricsRegistry, Obs, Trace
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, TrySendError};
+use std::sync::{Arc, Condvar, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -151,11 +151,20 @@ struct SchedulerShared {
     queue_depth: AtomicU64,
     /// Set by `begin_shutdown`: reject new work, skip retry backoffs.
     shutting_down: AtomicBool,
-    /// Cancel handles for queued + running jobs, by job id.
-    inflight: Mutex<HashMap<u64, CancelToken>>,
+    /// Cancel handles for queued + running jobs, by job id. A std mutex,
+    /// for the condvar beside it.
+    inflight: std::sync::Mutex<HashMap<u64, CancelToken>>,
+    /// Signalled when `inflight` empties (see [`Scheduler::wait_idle`]).
+    idle: Condvar,
 }
 
 impl SchedulerShared {
+    /// Poisoning is recovered: every update of the table is one insert or
+    /// one remove, so it is valid whenever a panic could have left it.
+    fn inflight(&self) -> MutexGuard<'_, HashMap<u64, CancelToken>> {
+        self.inflight.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn sync_queue_gauge(&self) {
         self.metrics.set_gauge(
             metric_names::QUEUE_DEPTH,
@@ -169,11 +178,10 @@ pub struct Scheduler {
     shared: Arc<SchedulerShared>,
     /// `None` once shutdown began: dropping the sender closes the queue,
     /// so workers drain what was admitted and exit.
-    tx: Mutex<Option<channel::Sender<QueuedJob>>>,
-    /// Behind a mutex for `Sync`: the stub crossbeam receiver is
-    /// mpsc-backed, and the network server shares the scheduler across
-    /// connection threads.
-    results_rx: Mutex<channel::Receiver<JobResult>>,
+    tx: Mutex<Option<mpsc::SyncSender<QueuedJob>>>,
+    /// Behind a mutex for `Sync`: an mpsc receiver has one consumer, and
+    /// the network server shares the scheduler across connection threads.
+    results_rx: Mutex<mpsc::Receiver<JobResult>>,
     handles: Vec<JoinHandle<()>>,
     next_id: AtomicU64,
     queue_capacity: usize,
@@ -213,12 +221,13 @@ impl Scheduler {
             breaker: CircuitBreaker::new(config.breaker),
             queue_depth: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
-            inflight: Mutex::new(HashMap::new()),
+            inflight: std::sync::Mutex::new(HashMap::new()),
+            idle: Condvar::new(),
         });
-        let (tx, rx) = channel::bounded::<QueuedJob>(config.queue_capacity.max(1));
-        let (results_tx, results_rx) = channel::unbounded::<JobResult>();
-        // The stub crossbeam Receiver is mpsc-backed (not Sync), so the
-        // pool shares it behind a mutex; real crossbeam clones fine too.
+        let (tx, rx) = mpsc::sync_channel::<QueuedJob>(config.queue_capacity.max(1));
+        let (results_tx, results_rx) = mpsc::channel::<JobResult>();
+        // An mpsc receiver has one consumer: the pool shares it behind a
+        // mutex.
         let rx = Arc::new(Mutex::new(rx));
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
@@ -337,7 +346,7 @@ impl Scheduler {
         // it touches the job, so `job_started` cannot overtake `job_queued`,
         // the queue gauge is raised before it is lowered, and the cancel
         // handle is registered before the worker can retire it.
-        let mut inflight = self.shared.inflight.lock();
+        let mut inflight = self.shared.inflight();
         match tx.try_send(job) {
             Ok(()) => {
                 inflight.insert(id, cancel.clone());
@@ -373,7 +382,7 @@ impl Scheduler {
     /// `Canceled` when a worker picks them up; running jobs abort at
     /// their next step boundary. Returns `false` for unknown/finished ids.
     pub fn cancel(&self, id: u64) -> bool {
-        match self.shared.inflight.lock().get(&id) {
+        match self.shared.inflight().get(&id) {
             Some(token) => {
                 token.cancel();
                 true
@@ -393,6 +402,20 @@ impl Scheduler {
             drained += 1;
         }
         drained
+    }
+
+    /// Block until no admitted job is unfinished: every job's counters
+    /// are final and its handle is about to complete. Meant for after
+    /// [`Scheduler::begin_shutdown`], when the table can only empty.
+    pub(crate) fn wait_idle(&self) {
+        let mut inflight = self.shared.inflight();
+        while !inflight.is_empty() {
+            inflight = self
+                .shared
+                .idle
+                .wait(inflight)
+                .unwrap_or_else(|e| e.into_inner());
+        }
     }
 
     /// Jobs admitted but not yet picked up by a worker.
@@ -512,8 +535,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 fn worker_loop(
     shared: &SchedulerShared,
-    rx: &Mutex<channel::Receiver<QueuedJob>>,
-    results_tx: &channel::Sender<JobResult>,
+    rx: &Mutex<mpsc::Receiver<QueuedJob>>,
+    results_tx: &mpsc::Sender<JobResult>,
 ) {
     loop {
         // Injection site: a worker dying outside any job (the respawn
@@ -539,14 +562,14 @@ fn worker_loop(
                 let guard = rx.lock();
                 match guard.recv_timeout(std::time::Duration::from_millis(20)) {
                     Ok(job) => job,
-                    Err(channel::RecvTimeoutError::Timeout) => continue,
-                    Err(channel::RecvTimeoutError::Disconnected) => break,
+                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
+                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
                 }
             }
         };
         // The submitter holds `inflight` until the job is counted and
         // `job_queued` published; nothing about the job happens before.
-        drop(shared.inflight.lock());
+        drop(shared.inflight());
         shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
         shared.sync_queue_gauge();
         // Panic isolation: a panicking workflow fails its own job with a
@@ -555,7 +578,6 @@ fn worker_loop(
             run_job(shared, &job)
         }))
         .unwrap_or_else(|payload| panicked_job_result(shared, &job, &*payload));
-        shared.inflight.lock().remove(&job.id);
         shared.metrics.inc(metric_names::JOBS_COMPLETED, 1);
         match &result.status {
             JobStatus::Done(_) => shared.breaker.record_success(),
@@ -572,6 +594,16 @@ fn worker_loop(
                 {
                     shared.metrics.inc(metric_names::BREAKER_OPENED, 1);
                 }
+            }
+        }
+        // Retired once its counters are final and before its handle
+        // completes: whoever saw the job finish finds `cancel` false, and
+        // whoever saw the table empty finds the counters settled.
+        {
+            let mut inflight = shared.inflight();
+            inflight.remove(&job.id);
+            if inflight.is_empty() {
+                shared.idle.notify_all();
             }
         }
         // The handle's slot is completed first: JobHandle::wait must

@@ -6,12 +6,17 @@ use infera_core::{InferA, SessionConfig};
 use infera_hacc::{EnsembleSpec, Manifest};
 use infera_llm::BehaviorProfile;
 use infera_serve::net::{
-    Client, ClientConfig, ConnectError, NetServer, NetServerConfig, SubmitOutcome,
+    decode_request, encode_response, Client, ClientConfig, ConnectError, NetServer,
+    NetServerConfig, Request, Response, SubmitOutcome, PROTOCOL_VERSION,
 };
+use infera_serve::scheduler::metric_names::JOBS_COMPLETED;
 use infera_serve::{JobSpec, Scheduler, ServeConfig};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -56,13 +61,22 @@ fn session_config() -> SessionConfig {
 /// depend on `(seed, salt, question, ensemble fingerprint)`, so any
 /// session built from the same manifest anchors them.
 fn start_server(name: &str, workers: usize, queue: usize) -> (NetServer, Manifest, PathBuf) {
+    start_server_with(name, workers, queue, session_config())
+}
+
+fn start_server_with(
+    name: &str,
+    workers: usize,
+    queue: usize,
+    config: SessionConfig,
+) -> (NetServer, Manifest, PathBuf) {
     let base = std::env::temp_dir().join("infera_net_it").join(name);
     std::fs::remove_dir_all(&base).ok();
     let manifest = infera_hacc::generate(&EnsembleSpec::tiny(97), &base.join("ens")).unwrap();
     let session = Arc::new(
         InferA::from_manifest(manifest.clone())
             .work_dir(base.join("server_work"))
-            .config(session_config())
+            .config(config)
             .build()
             .unwrap(),
     );
@@ -296,4 +310,174 @@ fn faulted_connection_boundary_drops_one_client_and_spares_the_rest() {
     let stats = server.shutdown();
     assert_eq!(stats.accepted, 1);
     assert_eq!(stats.completed, 1);
+}
+
+fn accepted(outcome: SubmitOutcome) -> u64 {
+    match outcome {
+        SubmitOutcome::Accepted { job, .. } => job,
+        SubmitOutcome::Rejected { message, .. } => panic!("rejected below capacity: {message}"),
+    }
+}
+
+#[test]
+fn stream_registered_while_the_pump_sleeps_is_forwarded_live_and_whole() {
+    let _g = FaultGuard::clean();
+    // Simulated model latency is slept here, so the streaming job is still
+    // running — by a second or so — when its first events reach the client.
+    let mut run_config = infera_agents::RunConfig::default();
+    run_config.llm_sleep_scale = 0.04;
+    let (server, _, _) = start_server_with(
+        "late_stream",
+        1,
+        8,
+        session_config().with_run_config(run_config),
+    );
+    let streaming = ClientConfig {
+        collect_events: true,
+        ..ClientConfig::default()
+    };
+    let mut client = connect(&server, &streaming);
+    let completed = || server.scheduler().metrics().counter(JOBS_COMPLETED);
+
+    // A job without events first: with its `Done` delivered the pump has
+    // no stream to poll and blocks on its channel.
+    let silent = accepted(client.submit(QUESTIONS[0], Some(1), false).unwrap());
+    let done = client.next_done(DONE_TIMEOUT).expect("silent job hung");
+    assert!(done.ok && done.job == silent, "{done:?}");
+    assert_eq!((client.events_seen(), completed()), (0, 1));
+
+    // Live: the streaming job's first event arrives while it still runs,
+    // so the registration woke the pump (its completion had not yet).
+    let job = accepted(client.submit(QUESTIONS[0], Some(2), true).unwrap());
+    let deadline = Instant::now() + DONE_TIMEOUT;
+    let first = loop {
+        if let Some(event) = client.try_next_event() {
+            break event;
+        }
+        assert!(Instant::now() < deadline, "no event streamed");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert_eq!(first.job(), job);
+    assert_eq!(completed(), 1, "the first event waited for the job to finish");
+
+    // Whole: every event of the job is here before its `Done` is.
+    let done = client.next_done(DONE_TIMEOUT).expect("streaming job hung");
+    assert!(done.ok && done.job == job, "{done:?}");
+    let mut events = vec![first];
+    events.extend(std::iter::from_fn(|| client.try_next_event()));
+    assert!(events.iter().all(|event| event.job() == job));
+    assert!(events.last().is_some_and(|event| event.is_terminal()));
+    assert_eq!(client.events_seen(), events.len() as u64);
+    client.bye();
+    let stats = server.shutdown();
+    assert_eq!(
+        stats.events_sent,
+        events.len() as u64,
+        "an event followed its job's Done"
+    );
+}
+
+#[test]
+fn shutdown_of_an_idle_server_joins_every_thread_and_says_goodbye() {
+    let _g = FaultGuard::clean();
+    let (server, _, _) = start_server("idle_shutdown", 1, 4);
+    let mut clients = [
+        connect(&server, &ClientConfig::default()),
+        connect(&server, &ClientConfig::default()),
+    ];
+    assert!(clients.iter_mut().all(Client::ping));
+    let scheduler = server.scheduler().clone();
+
+    let stats = server.shutdown();
+    assert_eq!(stats.connections, 2, "a connection thread was not joined");
+    // The accept loop, the reaper and both connections held a clone each.
+    assert_eq!(Arc::strong_count(&scheduler), 1, "a server thread outlived shutdown");
+    assert!(clients.iter().all(saw_goodbye), "a connection closed without Goodbye");
+}
+
+/// Whether the server's `Goodbye` reaches `client`'s reader thread.
+fn saw_goodbye(client: &Client) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !client.goodbye_received() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    client.goodbye_received()
+}
+
+#[test]
+fn dropped_server_releases_its_threads_port_and_scheduler() {
+    let _g = FaultGuard::clean();
+    let (server, _, _) = start_server("dropped", 1, 4);
+    let client = connect(&server, &ClientConfig::default());
+    let scheduler = server.scheduler().clone();
+    let addr = server.local_addr();
+
+    drop(server);
+    assert_eq!(Arc::strong_count(&scheduler), 1, "a server thread outlived the drop");
+    TcpListener::bind(addr).expect("the port is still bound");
+    assert!(saw_goodbye(&client), "the connection closed without Goodbye");
+}
+
+/// A hand-rolled peer: answers the handshake, reads the client's `Bye`,
+/// runs `reply` on the socket and closes it.
+fn fake_server(
+    reply: impl FnOnce(&mut TcpStream) + Send + 'static,
+) -> (String, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut lines = BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+        lines.read_line(&mut line).unwrap();
+        assert!(matches!(decode_request(line.trim()), Ok(Request::Hello { .. })));
+        let hello = Response::Hello {
+            protocol_version: PROTOCOL_VERSION,
+            server: "fake".to_string(),
+            workers: 1,
+            queue_capacity: 1,
+        };
+        writeln!(stream, "{}", encode_response(&hello)).unwrap();
+        line.clear();
+        lines.read_line(&mut line).unwrap();
+        assert!(matches!(decode_request(line.trim()), Ok(Request::Bye)));
+        reply(&mut stream);
+    });
+    (addr, peer)
+}
+
+#[test]
+fn bye_returns_when_the_server_goes_away_without_a_goodbye() {
+    let (addr, peer) = fake_server(|_| {});
+    let client = Client::connect(&addr, &ClientConfig::default()).unwrap();
+    let started = Instant::now();
+    client.bye();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "bye() sat out {:?} of its 10 s control timeout on a closed socket",
+        started.elapsed()
+    );
+    peer.join().unwrap();
+}
+
+#[test]
+fn bye_waits_for_the_servers_goodbye() {
+    let said = Arc::new(AtomicBool::new(false));
+    let (addr, peer) = {
+        let said = said.clone();
+        fake_server(move |stream| {
+            // Late enough that a `bye()` which does not wait is long gone.
+            std::thread::sleep(Duration::from_millis(100));
+            said.store(true, Ordering::SeqCst);
+            let goodbye = Response::Goodbye {
+                code: None,
+                message: "bye".to_string(),
+            };
+            writeln!(stream, "{}", encode_response(&goodbye)).unwrap();
+        })
+    };
+    let client = Client::connect(&addr, &ClientConfig::default()).unwrap();
+    client.bye();
+    assert!(said.load(Ordering::SeqCst), "bye() returned before the Goodbye");
+    peer.join().unwrap();
 }

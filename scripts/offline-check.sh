@@ -10,10 +10,11 @@
 #   OFFLINE_ALLOW_TEST_FAIL=1 scripts/offline-check.sh   # don't exit 1 on test failures
 #
 # Stub semantics (see tools/offline/stubs/*.rs): rayon is sequential,
-# parking_lot wraps std::sync, crossbeam::channel wraps mpsc, serde(+json)
-# is a real mini implementation, rand/rand_chacha/proptest are
-# deterministic xoshiro-based stand-ins. Tests that depend on the exact
-# ChaCha stream may behave differently than under real deps.
+# parking_lot wraps std::sync, serde(+json) is a real mini implementation,
+# rand/rand_chacha/proptest are deterministic xoshiro-based stand-ins.
+# Tests that depend on the exact ChaCha stream may behave differently than
+# under real deps. (The workspace no longer uses crossbeam; its stub file
+# stays only because crates/benchmark/build.sh compiles every stub by name.)
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -77,7 +78,6 @@ build_stub rand
 build_stub rand_chacha rand
 build_stub rayon
 build_stub parking_lot
-build_stub crossbeam
 build_stub bytes
 build_stub proptest
 
@@ -88,7 +88,6 @@ STUB_EXTERNS=(
     --extern "rand_chacha=$DEPS/librand_chacha.rlib"
     --extern "rayon=$DEPS/librayon.rlib"
     --extern "parking_lot=$DEPS/libparking_lot.rlib"
-    --extern "crossbeam=$DEPS/libcrossbeam.rlib"
     --extern "bytes=$DEPS/libbytes.rlib"
     --extern "proptest=$DEPS/libproptest.rlib"
 )
@@ -110,7 +109,7 @@ crate_externs() { # echo --extern flags for every already-built workspace lib
 
 srcs_of() { find "$1" -name '*.rs' 2>/dev/null; }
 
-built_libs() { ls "$DEPS"/libserde.rlib "$DEPS"/lib{serde_json,rand,rand_chacha,rayon,parking_lot,crossbeam,bytes,proptest}.rlib "$DEPS"/libinfera*.rlib 2>/dev/null || true; }
+built_libs() { ls "$DEPS"/libserde.rlib "$DEPS"/lib{serde_json,rand,rand_chacha,rayon,parking_lot,bytes,proptest}.rlib "$DEPS"/libinfera*.rlib 2>/dev/null || true; }
 
 TEST_BINS=()
 FAILED_TESTS=()

@@ -37,6 +37,30 @@ if grep -n 'serde_json::' "${query_path[@]}"; then
     exit 1
 fi
 
+echo "==> serving comms allocate what they carry and wait on what they await (structural gate)"
+# A connection's footprint is held by tests (crates/serve/tests/footprint.rs);
+# what made it 620 MB and a quarter of a second is named here, and needs no
+# build: crossbeam (whose offline stand-in preallocates a million slots per
+# unbounded channel), a preallocated ring per event subscription, a polling
+# accept loop, and sleeps where connection code waits for a message.
+structural_ok=1
+forbid() { # forbid <pattern> <what a match means> <files...>
+    local pattern=$1 meaning=$2
+    shift 2
+    if grep -n -- "$pattern" "$@"; then
+        echo "verify: $meaning (see above)" >&2
+        structural_ok=0
+    fi
+}
+mapfile -t crate_sources < <(find crates/*/src -name '*.rs')
+forbid 'crossbeam' "crossbeam is back in the workspace" \
+    Cargo.toml crates/*/Cargo.toml "${crate_sources[@]}"
+forbid 'sync_channel(' "the event bus preallocates its subscriber queues" crates/obs/src/bus.rs
+forbid 'set_nonblocking' "the accept loop polls" crates/serve/src/net/server.rs
+forbid 'thread::sleep' "connection code sleeps where it should wait" \
+    crates/serve/src/net/client.rs crates/serve/src/net/conn.rs
+[ "$structural_ok" -eq 1 ] || exit 1
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -194,7 +218,26 @@ EOF
     # workloads over the real TCP path plus the traced per-layer runs. It
     # exits non-zero when any answer fails or misses its serial-anchor
     # digest (`correct` false), or sharded and serial digests differ.
-    bash crates/benchmark/run.sh all --smoke >/dev/null
+    # The same run holds the memory ceiling — a count this host can hold: a
+    # serving process stays far below the data it analyses (≈ 7 MB resident
+    # on the smoke ensemble; ≈ 740 MB when every channel preallocated).
+    e2e_out="$(mktemp -t benchmark_smoke.XXXXXX.json)"
+    bash crates/benchmark/run.sh all --smoke --out "$e2e_out" >/dev/null
+    python3 - "$e2e_out" <<'EOF'
+import json, sys
+
+ceiling_mb = 64.0
+report = json.load(open(sys.argv[1]))
+peaks = {
+    name: max(workload["end_to_end"]["peak_rss_mb"]["values"])
+    for name, workload in report["workloads"].items()
+}
+assert len(peaks) == 4, sorted(peaks)
+over = {name: peak for name, peak in peaks.items() if peak > ceiling_mb}
+assert not over, f"peak_rss_mb over {ceiling_mb} MB: {over}"
+print("benchmark smoke ok: peak_rss_mb " + ", ".join(f"{n} {p:.1f}" for n, p in peaks.items()))
+EOF
+    rm -f "$e2e_out"
 fi
 
 echo "verify: OK"
